@@ -34,18 +34,21 @@ YOLOC_SMOKE=1 cargo test -q --test arena_parity
 echo "== kernel-parity suites under forced scalar tier (YOLOC_KERNEL=scalar)"
 YOLOC_KERNEL=scalar cargo test -q -p yoloc-cim
 YOLOC_KERNEL=scalar YOLOC_SMOKE=1 cargo test -q --test arena_parity
+YOLOC_KERNEL=scalar cargo test -q --test staging_golden
 
 echo "== kernel-parity suites under forced AVX2 tier (YOLOC_KERNEL=avx2)"
 # On hosts without AVX2 the dispatch downgrades to scalar with a note
 # (see kernel_override_is_honored_across_the_arena_suite).
 YOLOC_KERNEL=avx2 cargo test -q -p yoloc-cim
 YOLOC_KERNEL=avx2 YOLOC_SMOKE=1 cargo test -q --test arena_parity
+YOLOC_KERNEL=avx2 cargo test -q --test staging_golden
 
 echo "== kernel-parity suites under forced AVX-512 tier (YOLOC_KERNEL=avx512)"
 # Hosts without the required subsets (F+BW+VL+VPOPCNTDQ) downgrade to
 # AVX2 (or scalar) with a note, so this leg runs everywhere.
 YOLOC_KERNEL=avx512 cargo test -q -p yoloc-cim
 YOLOC_KERNEL=avx512 YOLOC_SMOKE=1 cargo test -q --test arena_parity
+YOLOC_KERNEL=avx512 cargo test -q --test staging_golden
 
 echo "== remainder-lane kernel parity suite (both layouts, all tiers)"
 cargo test -q --test kernel_remainder
@@ -69,6 +72,9 @@ YOLOC_SMOKE=1 cargo test -q --test serve_sim
 
 echo "== serving parity suite (broker == direct inference, YOLOC_SMOKE=1)"
 YOLOC_SMOKE=1 cargo test -q --test serve_parity
+
+echo "== benchmark package tests (public-API contract, smoke run of every workload)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== zero-allocation steady-state gate"
 cargo test -q -p yoloc-bench --test alloc_steady_state

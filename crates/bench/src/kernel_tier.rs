@@ -29,8 +29,8 @@
 //! per shape, `time_share` (this shape's fraction of the zoo's total
 //! dispatched MVM nanoseconds — so gates can hit the heavy tail instead
 //! of the unweighted mean) and `staging_ns_per_mvm` (a layout-matched
-//! quantize-and-stage pass over synthetic im2col data, the work
-//! `qconv` performs to feed the kernel); at block level, the MVM-
+//! staging pass over a synthetic lowered code matrix, the work `qconv`
+//! performs per tile to feed the kernel); at block level, the MVM-
 //! weighted `staging_ns` vs `mvm_ns` split.
 //!
 //! An informational `end_to_end` sub-block records the whole-inference
@@ -52,7 +52,6 @@ use yoloc_cim::{
     MatmulLayout, MvmBackend, RomMvm,
 };
 use yoloc_models::NetworkDesc;
-use yoloc_quant::QuantParams;
 
 /// One unique lowered matrix shape measured under both kernel tiers.
 pub struct ShapeMeasure {
@@ -67,9 +66,9 @@ pub struct ShapeMeasure {
     pub scalar_ns_per_mvm: f64,
     /// Dispatched-tier nanoseconds per matrix-vector product.
     pub dispatched_ns_per_mvm: f64,
-    /// Layout-matched quantize-and-stage nanoseconds per matrix-vector
-    /// product (the `qconv` feeding cost, measured on synthetic im2col
-    /// data at the same batch size).
+    /// Layout-matched staging nanoseconds per matrix-vector product (the
+    /// `qconv` per-tile feeding cost, measured on a synthetic lowered
+    /// code matrix at the same batch size).
     pub staging_ns_per_mvm: f64,
     /// Layout the backend's crossover picked at this shape and batch.
     pub layout: MatmulLayout,
@@ -186,15 +185,15 @@ fn min_time(times: &[f64]) -> f64 {
     times.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
-/// One timed staging sample: `calls` layout-matched quantize-and-stage
-/// passes over a synthetic patch-major `(patch, positions)` im2col
-/// matrix — the exact loops `qconv::run_tile` runs to feed the kernel —
-/// returning seconds per pass.
+/// One timed staging sample: `calls` layout-matched passes that stage
+/// a synthetic patch-major `(patch, positions)` lowered code matrix into
+/// the kernel's batch layout — the exact loops `qconv::run_tile` runs to
+/// feed the kernel (its activations were quantized once, before the
+/// im2col, so staging only moves codes) — returning seconds per pass.
 fn sample_staging(
-    cols: &[f32],
+    cols: &[i32],
     patch: usize,
     n: usize,
-    q: &QuantParams,
     layout: MatmulLayout,
     codes: &mut Vec<i32>,
     calls: usize,
@@ -208,19 +207,14 @@ fn sample_staging(
                 codes.clear();
                 codes.resize(patch * n_pad, 0);
                 for r in 0..patch {
-                    let src = &cols[r * positions..r * positions + n];
-                    let lane = &mut codes[r * n_pad..r * n_pad + n];
-                    for (c, &v) in lane.iter_mut().zip(src) {
-                        *c = q.quantize_value(v);
-                    }
+                    codes[r * n_pad..r * n_pad + n]
+                        .copy_from_slice(&cols[r * positions..r * positions + n]);
                 }
             }
             MatmulLayout::RowMajor => {
                 codes.clear();
                 for pos in 0..n {
-                    for r in 0..patch {
-                        codes.push(q.quantize_value(cols[r * positions + pos]));
-                    }
+                    codes.extend((0..patch).map(|r| cols[r * positions + pos]));
                 }
             }
         }
@@ -315,19 +309,18 @@ fn measure_shape(
         (min_time(&times_s), min_time(&times_d))
     };
 
-    // Staging split: time the layout-matched quantize-and-stage pass
-    // that feeds this shape's batches (synthetic im2col floats, same
-    // batch size, same loops as `qconv::run_tile`).
+    // Staging split: time the layout-matched pass that feeds this
+    // shape's batches (synthetic lowered codes, same batch size, same
+    // loops as `qconv::run_tile`).
     engine.set_kernel(selected);
     let layout = engine.batch_layout(n);
-    let cols: Vec<f32> = (0..ins * n).map(|_| rng.gen_range(0.0..1.0)).collect();
-    let q = QuantParams::affine(0.0, 1.0, 8);
+    let cols: Vec<i32> = (0..ins * n).map(|_| rng.gen_range(0..=255)).collect();
     let mut codes = Vec::new();
-    let stage_once = sample_staging(&cols, ins, n, &q, layout, &mut codes, 1).max(1e-9);
+    let stage_once = sample_staging(&cols, ins, n, layout, &mut codes, 1).max(1e-9);
     let stage_calls = ((200e-6 / stage_once).ceil() as usize).clamp(1, 20_000);
     let staging_s = min_time(
         &(0..reps)
-            .map(|_| sample_staging(&cols, ins, n, &q, layout, &mut codes, stage_calls))
+            .map(|_| sample_staging(&cols, ins, n, layout, &mut codes, stage_calls))
             .collect::<Vec<_>>(),
     );
 

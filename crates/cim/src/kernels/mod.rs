@@ -94,7 +94,8 @@ impl KernelKind {
 ///
 /// Parsed from the `YOLOC_KERNEL` environment variable at
 /// [`RomMvm::program`] time (`scalar` | `avx2` | `avx512` | `auto`;
-/// unset means [`KernelDispatch::Auto`]). Forcing a tier on a host
+/// unset or unrecognized means [`KernelDispatch::Auto`], see
+/// [`KernelDispatch::from_env`]). Forcing a tier on a host
 /// without it resolves to the widest available tier with a one-time
 /// warning rather than aborting, so a pinned CI environment stays
 /// runnable everywhere — the parity suites detect the downgrade and
@@ -117,26 +118,40 @@ pub enum KernelDispatch {
 }
 
 impl KernelDispatch {
-    /// Reads the dispatch policy from `YOLOC_KERNEL`.
+    /// Parses a `YOLOC_KERNEL` value: `scalar` | `avx2` | `avx512` |
+    /// `auto` (the empty string also means `auto`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unrecognized value — a typoed override must fail
-    /// loudly, not silently benchmark the wrong tier.
+    /// Returns a message naming the value and the accepted spellings for
+    /// anything else.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        match value {
+            "auto" | "" => Ok(KernelDispatch::Auto),
+            "scalar" => Ok(KernelDispatch::Scalar),
+            "avx2" => Ok(KernelDispatch::Avx2),
+            "avx512" => Ok(KernelDispatch::Avx512),
+            other => Err(format!(
+                "unknown YOLOC_KERNEL value {other:?} (expected scalar|avx2|avx512|auto)"
+            )),
+        }
+    }
+
+    /// Reads the dispatch policy from `YOLOC_KERNEL` (unset means
+    /// [`KernelDispatch::Auto`]). An unrecognized value also falls back
+    /// to `Auto`, with one stderr note per process naming the value, so
+    /// a typoed override is visible without aborting the program.
     pub fn from_env() -> Self {
         match std::env::var("YOLOC_KERNEL") {
             Err(_) => KernelDispatch::Auto,
-            Ok(v) => {
-                match v.as_str() {
-                    "auto" | "" => KernelDispatch::Auto,
-                    "scalar" => KernelDispatch::Scalar,
-                    "avx2" => KernelDispatch::Avx2,
-                    "avx512" => KernelDispatch::Avx512,
-                    other => {
-                        panic!("unknown YOLOC_KERNEL value {other:?} (expected scalar|avx2|avx512|auto)")
-                    }
+            Ok(v) => Self::parse(&v).unwrap_or_else(|e| {
+                use std::sync::atomic::{AtomicBool, Ordering};
+                static NOTED: AtomicBool = AtomicBool::new(false);
+                if !NOTED.swap(true, Ordering::Relaxed) {
+                    eprintln!("note: {e}; using the auto kernel tier");
                 }
-            }
+                KernelDispatch::Auto
+            }),
         }
     }
 
@@ -557,6 +572,24 @@ pub(crate) fn group_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dispatch_parses_every_spelling_and_rejects_the_rest() {
+        for (value, want) in [
+            ("auto", KernelDispatch::Auto),
+            ("", KernelDispatch::Auto),
+            ("scalar", KernelDispatch::Scalar),
+            ("avx2", KernelDispatch::Avx2),
+            ("avx512", KernelDispatch::Avx512),
+        ] {
+            assert_eq!(KernelDispatch::parse(value), Ok(want), "{value:?}");
+        }
+        for bad in ["AVX2", "avx-512", " scalar", "sse4", "avx512 "] {
+            let err = KernelDispatch::parse(bad).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("scalar|avx2|avx512|auto"), "{err}");
+        }
+    }
 
     #[test]
     fn dispatch_resolution_is_host_consistent() {

@@ -4,9 +4,9 @@
 //! PR 4 *planned* a slot-reuse activation arena (`peak_arena_bytes` in
 //! every report) but the executor still cloned a `Tensor` per op. This
 //! module closes that gap: an [`ExecArena`] materializes the plan's slots
-//! as reusable `f32` buffers — plus the staging a CiM op needs (im2col
-//! patch matrix, quantized codes, integer accumulators, bit-plane masks,
-//! ReBranch intermediates) and the report/`PerOpExec` storage of the
+//! as reusable `f32` buffers — plus the staging a CiM op needs (input
+//! code map, lowered code patch matrix, activation panel, integer
+//! accumulators, bit-plane masks, ReBranch intermediates) and the report/`PerOpExec` storage of the
 //! measurement fold — and `ExecPlan::execute_arena` interprets the plan
 //! directly on those buffers. Every buffer grows on first use and keeps
 //! its capacity, so a warmed-up inference touches the heap **zero**
@@ -124,7 +124,8 @@ pub struct ExecArena {
     stage2: Buf,
     /// ReBranch intermediates: compress, residual-conv, decompress.
     rb: [Buf; 3],
-    /// Shared CiM kernel staging (im2col, codes, accumulators, planes).
+    /// Shared CiM kernel staging (code map, code im2col, panel,
+    /// accumulators, planes).
     /// The codes buffer holds vector-major rows or the lane-major
     /// transposed panel, whichever layout the op's backend selects per
     /// batch ([`MvmBackend::batch_layout`]); both stage in place and

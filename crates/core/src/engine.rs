@@ -370,7 +370,7 @@ impl<'p> Scheduler<'p> {
                     let (oh, ow) = conv.output_hw(h, w);
                     let batch = input.shape()[0];
                     let cols = Arc::new(conv.lower(&input));
-                    let ranges = conv.tile_ranges(cols.shape()[1]);
+                    let ranges = conv.tile_ranges(batch * oh * ow);
                     let input_bits = input.data().len() as u64 * ab;
                     pending.push(Pending {
                         task: t,
@@ -382,17 +382,12 @@ impl<'p> Scheduler<'p> {
                         let cols = Arc::clone(&cols);
                         jobs.push(Box::new(move || {
                             let mut rng = StdRng::seed_from_u64(tile_stream_seed(seed, t, ti));
-                            // Draw kernel staging (codes, accumulators,
+                            // Draw kernel staging (panel, accumulators,
                             // bit-plane masks) from the plan's arena pool
                             // so repeated tile jobs reuse warmed buffers.
                             let mut arena = plan.take_arena();
-                            let (vals, stats) = conv.forward_tile_with(
-                                cols.as_ref(),
-                                lo,
-                                hi,
-                                &mut arena.cim,
-                                &mut rng,
-                            );
+                            let (vals, stats) =
+                                conv.forward_tile_with(&cols, lo, hi, &mut arena.cim, &mut rng);
                             plan.give_arena(arena);
                             JobOut::Tile(vals, stats)
                         }));

@@ -22,26 +22,34 @@ use yoloc_cim::faults::{FaultContext, FaultPlan, FaultSpec};
 use yoloc_cim::kernels::{transposed_pad, MatmulLayout};
 use yoloc_cim::macro_model::{MacroParams, MvmStats};
 use yoloc_quant::{calibrate_affine, PerChannelQuant, QuantParams};
-use yoloc_tensor::ops::{im2col, im2col_into, Conv2dGeometry};
+use yoloc_tensor::ops::{im2col_into, Conv2dGeometry};
 use yoloc_tensor::Tensor;
 
 use serde::json::Value as Json;
 use serde::{Deserialize, Serialize};
 
-/// Reusable staging for one CiM layer execution: the im2col patch matrix,
-/// the quantized activation codes of the tile in flight, the integer MVM
-/// accumulators, and the backend's bit-plane staging.
+/// Reusable staging for one CiM layer execution: the conv input
+/// quantized once into a code map, that map lowered into the
+/// code-domain im2col patch matrix, the activation codes of the tile in
+/// flight (in the backend's batch layout), the integer MVM accumulators,
+/// and the backend's bit-plane staging.
+///
+/// Staging never touches a float patch matrix: each input value is
+/// quantized exactly once, and the tile staging only copies codes.
 ///
 /// One `CimScratch` serves every layer of a deployment in turn (layers
 /// run serially, and each call fully overwrites what it uses), which is
 /// how the arena executor keeps steady-state inference allocation-free:
-/// all four buffers grow on first use and keep their capacity across ops,
+/// every buffer grows on first use and keeps its capacity across ops,
 /// samples and repeated `infer` calls.
 #[derive(Debug, Default)]
 pub struct CimScratch {
-    /// Lowered `(patch, positions)` im2col matrix (convs only).
-    cols: Vec<f32>,
-    /// Quantized activation codes of the tile in flight, vector-major.
+    /// Quantized `(n, C, H, W)` input codes (convs only).
+    act: Vec<i32>,
+    /// Lowered `(patch, positions)` code matrix (convs only).
+    cols: Vec<i32>,
+    /// Activation codes of the tile in flight: the transposed panel or
+    /// the vector-major block.
     codes: Vec<i32>,
     /// Integer accumulators of the tile in flight, vector-major.
     accs: Vec<i64>,
@@ -366,12 +374,43 @@ impl CimConv2d {
         }
     }
 
-    /// Lowers `x` (`(N, C, H, W)`) to its im2col activation matrix — the
-    /// shared input every tile of this layer reads. Exposed so the
-    /// scheduler can lower once and fan [`CimConv2d::forward_tile`] calls
-    /// over the result.
-    pub fn lower(&self, x: &Tensor) -> Tensor {
-        im2col(x, &self.geom)
+    /// Lowers `x` (`(N, C, H, W)`) to its quantized im2col matrix: the
+    /// row-major `(C*k*k, N*OH*OW)` activation codes every tile of this
+    /// layer reads, padding taps holding the zero point's code. Exposed
+    /// so the scheduler can lower once and fan
+    /// [`CimConv2d::forward_tile_with`] calls over the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `(N, C, H, W)` with this layer's `C`.
+    pub fn lower(&self, x: &Tensor) -> Vec<i32> {
+        assert_eq!(x.ndim(), 4, "input must be (N, C, H, W)");
+        assert_eq!(x.shape()[1], self.geom.in_channels, "channel mismatch");
+        let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let mut cols = Vec::new();
+        self.lower_into(x.data(), n, h, w, &mut Vec::new(), &mut cols);
+        cols
+    }
+
+    /// Quantizes the raw `(n, C, h, w)` input once into `act`, lowers
+    /// those codes into the `(patch, positions)` matrix `cols` and
+    /// returns `positions`. Quantization is elementwise, so quantizing
+    /// before the gather equals quantizing every gathered element, and a
+    /// padding tap holds `quantize_value(0.0)` — exactly what a zero-
+    /// padded float patch quantizes to.
+    fn lower_into(
+        &self,
+        x: &[f32],
+        n: usize,
+        h: usize,
+        w: usize,
+        act: &mut Vec<i32>,
+        cols: &mut Vec<i32>,
+    ) -> usize {
+        let q = &self.act_params;
+        act.clear();
+        act.extend(x.iter().map(|&v| q.quantize_value(v)));
+        im2col_into(act, n, h, w, &self.geom, q.quantize_value(0.0), cols).1
     }
 
     /// Output spatial dims for an `(H, W)` input.
@@ -384,40 +423,28 @@ impl CimConv2d {
         self.out_channels
     }
 
-    /// Runs output positions `lo..hi` of the lowered activation matrix
+    /// Runs output positions `lo..hi` of the lowered code matrix
     /// (`cols`, from [`CimConv2d::lower`]) through the backend's
     /// tile-granular entry, returning the dequantized values in
     /// `[position][channel]` order plus the tile's statistics (folded from
-    /// zero, in position order).
+    /// zero, in position order). The panel, accumulators and bit-plane
+    /// planes live in `scratch` and are reused across calls, so only the
+    /// returned value vector is allocated.
     ///
-    /// This is the parallel unit of the tile scheduler; assembling tiles
-    /// in range order reproduces [`CimConv2d::forward`] bit for bit.
-    pub fn forward_tile<R: Rng + ?Sized>(
-        &self,
-        cols: &Tensor,
-        lo: usize,
-        hi: usize,
-        rng: &mut R,
-    ) -> (Vec<f32>, MvmStats) {
-        self.forward_tile_with(cols, lo, hi, &mut CimScratch::new(), rng)
-    }
-
-    /// [`CimConv2d::forward_tile`] with caller-owned staging: the
-    /// quantized codes, accumulators and bit-plane planes live in
-    /// `scratch` and are reused across calls, so only the returned value
-    /// vector is allocated. This is the entry the tile-parallel scheduler
-    /// drives with scratch drawn from the deployment's arena pool.
+    /// This is the parallel unit of the tile scheduler (which draws
+    /// `scratch` from the deployment's arena pool); assembling tiles in
+    /// range order reproduces [`CimConv2d::forward`] bit for bit.
     pub fn forward_tile_with<R: Rng + ?Sized>(
         &self,
-        cols: &Tensor,
+        cols: &[i32],
         lo: usize,
         hi: usize,
         scratch: &mut CimScratch,
         rng: &mut R,
     ) -> (Vec<f32>, MvmStats) {
-        let positions = cols.shape()[1];
+        let positions = cols.len() / self.geom.patch_len();
         let mut stats = MvmStats::default();
-        self.run_tile(cols.data(), positions, lo, hi, &mut stats, scratch, rng);
+        self.run_tile(cols, positions, lo, hi, &mut stats, scratch, rng);
         let mut vals = Vec::with_capacity((hi - lo) * self.out_channels);
         for acc in scratch.accs[..(hi - lo) * self.out_channels].chunks_exact(self.out_channels) {
             for (o, &a) in acc.iter().enumerate() {
@@ -427,22 +454,21 @@ impl CimConv2d {
         (vals, stats)
     }
 
-    /// Quantizes positions `lo..hi` of a patch-major `(patch, positions)`
-    /// matrix into `scratch.codes` and batches them through the backend
-    /// into `scratch.accs`, merging the tile's statistics (folded from
-    /// zero in vector order) into `stats`.
+    /// Stages positions `lo..hi` of a patch-major `(patch, positions)`
+    /// code matrix into `scratch.codes` and batches them through the
+    /// backend into `scratch.accs`, merging the tile's statistics (folded
+    /// from zero in vector order) into `stats`.
     ///
     /// The staging layout follows the backend's
     /// [`MvmBackend::batch_layout`] choice. The transposed panel is the
-    /// natural fit for the patch-major im2col matrix: each activation
-    /// row `r` quantizes the *contiguous* slice `cols[r*positions +
-    /// lo..hi]` straight into its panel lane — one pass, no
-    /// quantize-then-repack, and no strided gather (which is what the
-    /// vector-major staging below pays per position).
+    /// natural fit for the patch-major matrix: each activation row `r`
+    /// copies the *contiguous* lane `cols[r*positions + lo..hi]` into its
+    /// panel lane, with no strided gather (which is what the vector-major
+    /// staging below pays per position).
     #[allow(clippy::too_many_arguments)] // one tile's full dataflow, all borrowed
     fn run_tile<R: Rng + ?Sized>(
         &self,
-        cols: &[f32],
+        cols: &[i32],
         positions: usize,
         lo: usize,
         hi: usize,
@@ -460,11 +486,8 @@ impl CimConv2d {
                 scratch.codes.clear();
                 scratch.codes.resize(patch * n_pad, 0);
                 for r in 0..patch {
-                    let src = &cols[r * positions + lo..r * positions + hi];
-                    let lane = &mut scratch.codes[r * n_pad..r * n_pad + count];
-                    for (c, &v) in lane.iter_mut().zip(src) {
-                        *c = self.act_params.quantize_value(v);
-                    }
+                    scratch.codes[r * n_pad..r * n_pad + count]
+                        .copy_from_slice(&cols[r * positions + lo..r * positions + hi]);
                 }
                 self.engine.mvm_batch_transposed(
                     &scratch.codes,
@@ -479,11 +502,9 @@ impl CimConv2d {
             MatmulLayout::RowMajor => {
                 scratch.codes.clear();
                 for pos in lo..hi {
-                    for r in 0..patch {
-                        scratch
-                            .codes
-                            .push(self.act_params.quantize_value(cols[r * positions + pos]));
-                    }
+                    scratch
+                        .codes
+                        .extend((0..patch).map(|r| cols[r * positions + pos]));
                 }
                 self.engine.mvm_batch(
                     &scratch.codes,
@@ -521,7 +542,7 @@ impl CimConv2d {
         let (oh, ow) = self.geom.output_hw(h, w);
         assert_eq!(out.len(), n * self.out_channels * oh * ow, "output length");
         let mut cols = std::mem::take(&mut scratch.cols);
-        let (_, positions) = im2col_into(x, n, h, w, &self.geom, &mut cols);
+        let positions = self.lower_into(x, n, h, w, &mut scratch.act, &mut cols);
         let mut stats = MvmStats::default();
         for (lo, hi) in self.tile_range_iter(positions) {
             let mut tile_stats = MvmStats::default();
@@ -547,7 +568,7 @@ impl CimConv2d {
     }
 
     /// Scatters one tile's `[position][channel]` values (from
-    /// [`CimConv2d::forward_tile`] at range start `lo`) into the `(N, OC,
+    /// [`CimConv2d::forward_tile_with`] at range start `lo`) into the `(N, OC,
     /// OH, OW)` output map.
     pub fn scatter_tile(&self, out: &mut Tensor, lo: usize, vals: &[f32]) {
         let (oh, ow) = (out.shape()[2], out.shape()[3]);
@@ -902,7 +923,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use yoloc_tensor::ops::conv2d_reference;
+    use yoloc_cim::KernelDispatch;
+    use yoloc_tensor::ops::{conv2d_reference, im2col};
 
     #[test]
     fn cim_conv_matches_software_within_quantization() {
@@ -1038,6 +1060,125 @@ mod tests {
             assert_eq!(base_stats.analog_evaluations, s.analog_evaluations);
             assert_eq!(base_stats.adc_conversions, s.adc_conversions);
             assert_eq!(base_stats.wl_pulses, s.wl_pulses);
+        }
+    }
+
+    /// The float-staging reference: f32 im2col (zero padding), every
+    /// patch element quantized, a software-backend MVM, then the layer's
+    /// own dequantization, scattered to `(N, OC, OH, OW)`.
+    fn reference_forward(conv: &CimConv2d, x: &Tensor) -> Vec<f32> {
+        let cols = im2col(x, &conv.geom);
+        let (patch, positions) = (cols.shape()[0], cols.shape()[1]);
+        let mut codes = Vec::with_capacity(patch * positions);
+        for pos in 0..positions {
+            for r in 0..patch {
+                codes.push(
+                    conv.act_params
+                        .quantize_value(cols.data()[r * positions + pos]),
+                );
+            }
+        }
+        let spec = &conv.program;
+        let sw = program_backend(
+            BackendKind::Software,
+            spec.params,
+            &spec.codes,
+            spec.outs,
+            patch,
+        );
+        let mut accs = vec![0i64; positions * spec.outs];
+        sw.mvm_batch(
+            &codes,
+            positions,
+            &mut accs,
+            &mut MvmStats::default(),
+            &mut MvmScratch::new(),
+            &mut DynRng(&mut StdRng::seed_from_u64(0)),
+        );
+        let (h, w) = (x.shape()[2], x.shape()[3]);
+        let (oh, ow) = conv.output_hw(h, w);
+        let mut out = vec![0f32; positions * spec.outs];
+        for (pos, acc) in accs.chunks_exact(spec.outs).enumerate() {
+            let (ni, p) = (pos / (oh * ow), pos % (oh * ow));
+            for (o, &a) in acc.iter().enumerate() {
+                out[(ni * spec.outs + o) * oh * ow + p] =
+                    conv.dequant.value(o, a, &conv.act_params);
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Runs `conv` on `x` through `forward_in` and through the
+    /// scheduler's `lower` + `forward_tile_with` path at tile hints 1, 2
+    /// and 7, asserting both match the float-staging reference bit for
+    /// bit (and each other in stats); returns the layouts tiles staged in.
+    fn assert_staging_matches_reference(
+        conv: &mut CimConv2d,
+        x: &Tensor,
+        case: &str,
+    ) -> Vec<MatmulLayout> {
+        let mut rng = StdRng::seed_from_u64(0);
+        let want = bits(&reference_forward(conv, x));
+        let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let (oh, ow) = conv.output_hw(h, w);
+        let outs = conv.out_channels;
+        let mut layouts = Vec::new();
+        for tiles in [1, 2, 7] {
+            conv.set_tile_hint(tiles);
+            let mut y = vec![0f32; n * outs * oh * ow];
+            let mut scratch = CimScratch::new();
+            let stats = conv.forward_in(x.data(), n, h, w, &mut y, &mut scratch, &mut rng);
+            assert_eq!(bits(&y), want, "forward_in {case} t{tiles}");
+            // The scheduler's path: lower once, then run, scatter and
+            // fold each tile in order.
+            let cols = conv.lower(x);
+            let mut tiled = Tensor::zeros(&[n, outs, oh, ow]);
+            let mut tiled_stats = MvmStats::default();
+            for (lo, hi) in conv.tile_ranges(n * oh * ow) {
+                layouts.push(conv.engine.batch_layout(hi - lo));
+                let (vals, s) = conv.forward_tile_with(&cols, lo, hi, &mut scratch, &mut rng);
+                conv.scatter_tile(&mut tiled, lo, &vals);
+                tiled_stats.merge(&s);
+            }
+            assert_eq!(bits(tiled.data()), want, "tiled {case} t{tiles}");
+            assert_eq!(tiled_stats, stats, "stats {case} t{tiles}");
+        }
+        layouts
+    }
+
+    #[test]
+    fn quantize_once_staging_matches_the_float_staging_reference() {
+        // Inputs straddle zero, so the activation zero point (and with it
+        // every padding tap's code) is far from 0: a lowering that pads
+        // with code 0 instead of the zero point fails here.
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut layouts = Vec::new();
+        // 8 outputs take the transposed panel once a tile holds >= 4
+        // positions on a SIMD tier; 40 outputs always stage row-major.
+        for outs in [8, 40] {
+            for k in [1, 3, 5] {
+                let w = Tensor::randn(&[outs, 3, k, k], 0.0, 0.3, &mut rng);
+                for stride in [1, 2] {
+                    for padding in [0, 1, 2] {
+                        for n in [1, 2] {
+                            let x = Tensor::rand_uniform(&[n, 3, 6, 6], -1.0, 1.0, &mut rng);
+                            let params = MacroParams::rom_paper();
+                            let mut conv = CimConv2d::compile(&w, stride, padding, &[&x], params);
+                            assert_ne!(conv.act_params.quantize_value(0.0), 0, "zero point");
+                            let case = format!("outs{outs} k{k} s{stride} p{padding} n{n}");
+                            layouts.extend(assert_staging_matches_reference(&mut conv, &x, &case));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(layouts.contains(&MatmulLayout::RowMajor));
+        if KernelDispatch::from_env().resolve() != yoloc_cim::KernelKind::Scalar {
+            assert!(layouts.contains(&MatmulLayout::Transposed));
         }
     }
 }

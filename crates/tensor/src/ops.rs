@@ -61,57 +61,60 @@ pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Tensor {
     let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
     assert_eq!(x.shape()[1], geom.in_channels, "channel mismatch");
     let mut out = Vec::new();
-    let (rows, cols) = im2col_into(x.data(), n, h, w, geom, &mut out);
+    let (rows, cols) = im2col_into(x.data(), n, h, w, geom, 0.0, &mut out);
     Tensor::from_vec(out, &[rows, cols]).expect("im2col shape is consistent")
 }
 
-/// Allocation-reusing form of [`im2col`]: lowers a raw row-major
-/// `(N, C, H, W)` buffer into `out` (resized and zeroed in place, so a
-/// warmed buffer is never reallocated) and returns the `(rows, cols)`
-/// dimensions of the patch matrix. [`im2col`] is the allocating wrapper.
+/// Allocation-reusing, element-generic form of [`im2col`]: lowers a raw
+/// row-major `(N, C, H, W)` buffer into `out` (resized in place, so a
+/// warmed buffer is never reallocated), reads out-of-bounds taps as
+/// `pad`, and returns the `(rows, cols)` dimensions of the patch matrix.
+/// [`im2col`] is the allocating `f32` wrapper with `pad = 0.0`; the CiM
+/// path lowers quantized activation codes with the zero point's code as
+/// `pad`.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != n * in_channels * h * w`.
-pub fn im2col_into(
-    x: &[f32],
+pub fn im2col_into<T: Copy>(
+    x: &[T],
     n: usize,
     h: usize,
     w: usize,
     geom: &Conv2dGeometry,
-    out: &mut Vec<f32>,
+    pad: T,
+    out: &mut Vec<T>,
 ) -> (usize, usize) {
     let c = geom.in_channels;
     assert_eq!(x.len(), n * c * h * w, "input buffer length mismatch");
     let (oh, ow) = geom.output_hw(h, w);
-    let k = geom.kernel;
+    let (k, s, p) = (geom.kernel, geom.stride, geom.padding);
     let cols = n * oh * ow;
     let rows = geom.patch_len();
-    // Padded positions rely on a fully zeroed buffer; clear-then-resize
-    // zeroes every element while keeping the allocation.
+    // Padded taps are never written below; clear-then-resize fills every
+    // element with `pad` while keeping the allocation.
     out.clear();
-    out.resize(rows * cols, 0.0);
-    let xd = x;
+    out.resize(rows * cols, pad);
     for ni in 0..n {
         for ci in 0..c {
             let x_base = (ni * c + ci) * h * w;
             for kh in 0..k {
+                let (oh_lo, oh_hi) = in_bounds(oh, h, s, kh, p);
                 for kw in 0..k {
+                    let (ow_lo, ow_hi) = in_bounds(ow, w, s, kw, p);
                     let row = (ci * k + kh) * k + kw;
                     let out_base = row * cols + ni * oh * ow;
-                    for ohi in 0..oh {
-                        let ih = (ohi * geom.stride + kh) as isize - geom.padding as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        let x_row = x_base + ih as usize * w;
-                        let out_row = out_base + ohi * ow;
-                        for owi in 0..ow {
-                            let iw = (owi * geom.stride + kw) as isize - geom.padding as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
+                    for ohi in oh_lo..oh_hi {
+                        let x_row = x_base + (ohi * s + kh - p) * w;
+                        let dst =
+                            &mut out[out_base + ohi * ow + ow_lo..out_base + ohi * ow + ow_hi];
+                        let src = &x[x_row + ow_lo * s + kw - p..];
+                        if s == 1 {
+                            dst.copy_from_slice(&src[..dst.len()]);
+                        } else {
+                            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+                                *d = v;
                             }
-                            out[out_row + owi] = xd[x_row + iw as usize];
                         }
                     }
                 }
@@ -119,6 +122,24 @@ pub fn im2col_into(
         }
     }
     (rows, cols)
+}
+
+/// The output indices `lo..hi` (of `out_len`) whose input tap
+/// `o * stride + tap - pad` falls inside `0..in_len`.
+fn in_bounds(
+    out_len: usize,
+    in_len: usize,
+    stride: usize,
+    tap: usize,
+    pad: usize,
+) -> (usize, usize) {
+    let lo = pad.saturating_sub(tap).div_ceil(stride);
+    let hi = if in_len + pad > tap {
+        ((in_len + pad - tap - 1) / stride + 1).min(out_len)
+    } else {
+        0
+    };
+    (lo.min(hi), hi)
 }
 
 /// Adjoint of [`im2col`]: scatters a `(C*k*k, N*OH*OW)` patch-gradient matrix
@@ -387,5 +408,50 @@ mod tests {
             padding: 1,
         };
         assert_lowering_matches_direct(3, 5, 4, 9, g);
+    }
+
+    #[test]
+    fn im2col_into_matches_a_bounds_checked_gather_with_any_pad() {
+        // Every tap either copies its in-bounds input or reads `pad` —
+        // including inputs narrower than the kernel's reach.
+        for (k, stride, padding, hw) in [
+            (1, 1, 0, 4),
+            (3, 1, 1, 5),
+            (3, 2, 2, 4),
+            (5, 2, 2, 3),
+            (3, 1, 2, 1),
+        ] {
+            let (n, c) = (2, 2);
+            let g = Conv2dGeometry {
+                in_channels: c,
+                kernel: k,
+                stride,
+                padding,
+            };
+            let x: Vec<i32> = (0..(n * c * hw * hw) as i32).collect();
+            let mut out = vec![0; 3];
+            let (rows, cols) = im2col_into(&x, n, hw, hw, &g, -1, &mut out);
+            let (oh, ow) = g.output_hw(hw, hw);
+            assert_eq!((rows, cols), (c * k * k, n * oh * ow));
+            for r in 0..rows {
+                let (ci, kh, kw) = (r / (k * k), r / k % k, r % k);
+                for col in 0..cols {
+                    let (ni, p) = (col / (oh * ow), col % (oh * ow));
+                    let ih = (p / ow * stride + kh) as isize - padding as isize;
+                    let iw = (p % ow * stride + kw) as isize - padding as isize;
+                    let inside = (0..hw as isize).contains(&ih) && (0..hw as isize).contains(&iw);
+                    let want = if inside {
+                        x[((ni * c + ci) * hw + ih as usize) * hw + iw as usize]
+                    } else {
+                        -1
+                    };
+                    assert_eq!(
+                        out[r * cols + col],
+                        want,
+                        "k{k} s{stride} p{padding} r{r} c{col}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -523,11 +523,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run of unescaped bytes up to the next
+                // quote or backslash. Both are ASCII, so the run ends on a
+                // char boundary, and validating only the run keeps string
+                // parsing linear in the input.
+                let start = *pos;
+                *pos += bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - start);
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -616,6 +621,35 @@ mod tests {
         assert_eq!(v.as_str(), Some("café \"quoted\" \\ done"));
         let v = Value::parse("\"emoji ✓ passthrough\"").unwrap();
         assert_eq!(v.as_str(), Some("emoji ✓ passthrough"));
+    }
+
+    #[test]
+    fn string_parsing_scales_linearly() {
+        // 16x the input must cost well under 64x the time: linear parsing
+        // gives about 16x, a parser that rescans the rest of the input per
+        // character about 256x. Minimum of several reps damps host noise.
+        fn doc(strings: usize) -> String {
+            let s = Value::Str("plain ascii run, é ✓ 😀 and \"escapes\"\n".repeat(2));
+            Value::Arr(vec![s; strings]).render_compact()
+        }
+        fn best_ns(text: &str) -> u128 {
+            (0..7)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    std::hint::black_box(Value::parse(text).expect("valid document"));
+                    t.elapsed().as_nanos()
+                })
+                .min()
+                .unwrap()
+                .max(1)
+        }
+        let (small, big) = (doc(256), doc(256 * 16));
+        assert_eq!(
+            Value::parse(&big).unwrap().as_arr().map(<[Value]>::len),
+            Some(4096)
+        );
+        let ratio = best_ns(&big) as f64 / best_ns(&small) as f64;
+        assert!(ratio < 64.0, "16x input took {ratio:.1}x the time");
     }
 
     #[test]
