@@ -1176,6 +1176,15 @@ mod tests {
                 }
             }
         }
+        // Maps narrower than the padding, where whole kernel rows and
+        // columns read only padding taps.
+        for (k, stride, padding, hw) in [(5, 1, 2, 1), (5, 1, 2, 2), (7, 2, 3, 2)] {
+            let w = Tensor::randn(&[8, 3, k, k], 0.0, 0.3, &mut rng);
+            let x = Tensor::rand_uniform(&[2, 3, hw, hw], -1.0, 1.0, &mut rng);
+            let mut conv = CimConv2d::compile(&w, stride, padding, &[&x], MacroParams::rom_paper());
+            let case = format!("narrow k{k} s{stride} p{padding} hw{hw}");
+            layouts.extend(assert_staging_matches_reference(&mut conv, &x, &case));
+        }
         assert!(layouts.contains(&MatmulLayout::RowMajor));
         if KernelDispatch::from_env().resolve() != yoloc_cim::KernelKind::Scalar {
             assert!(layouts.contains(&MatmulLayout::Transposed));

@@ -102,6 +102,11 @@ pub fn im2col_into<T: Copy>(
                 let (oh_lo, oh_hi) = in_bounds(oh, h, s, kh, p);
                 for kw in 0..k {
                     let (ow_lo, ow_hi) = in_bounds(ow, w, s, kw, p);
+                    if ow_lo == ow_hi {
+                        // No output column reads inside the input: the
+                        // first tap below would index outside `x`.
+                        continue;
+                    }
                     let row = (ci * k + kh) * k + kw;
                     let out_base = row * cols + ni * oh * ow;
                     for ohi in oh_lo..oh_hi {
@@ -109,12 +114,8 @@ pub fn im2col_into<T: Copy>(
                         let dst =
                             &mut out[out_base + ohi * ow + ow_lo..out_base + ohi * ow + ow_hi];
                         let src = &x[x_row + ow_lo * s + kw - p..];
-                        if s == 1 {
-                            dst.copy_from_slice(&src[..dst.len()]);
-                        } else {
-                            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
-                                *d = v;
-                            }
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+                            *d = v;
                         }
                     }
                 }
@@ -420,6 +421,13 @@ mod tests {
             (3, 2, 2, 4),
             (5, 2, 2, 3),
             (3, 1, 2, 1),
+            // Maps narrower than the padding: whole kernel rows and
+            // columns fall outside the input.
+            (5, 1, 2, 1),
+            (5, 1, 2, 2),
+            (7, 2, 3, 2),
+            (7, 2, 3, 1),
+            (5, 2, 4, 1),
         ] {
             let (n, c) = (2, 2);
             let g = Conv2dGeometry {
