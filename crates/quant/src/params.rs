@@ -85,9 +85,12 @@ impl QuantParams {
     }
 
     /// Quantizes a real value to its integer code (round-to-nearest,
-    /// saturating).
+    /// saturating). Values beyond the range, infinities included, clamp
+    /// to `qmin` / `qmax`; NaN maps to the zero point.
     pub fn quantize_value(&self, v: f32) -> i32 {
-        let q = (v / self.scale).round() as i32 + self.zero_point;
+        // The float-to-int cast saturates; the add must too, or a value
+        // past `i32::MAX - zero_point` steps wraps to the opposite end.
+        let q = ((v / self.scale).round() as i32).saturating_add(self.zero_point);
         q.clamp(self.qmin(), self.qmax())
     }
 
@@ -250,6 +253,32 @@ mod tests {
         let p = QuantParams::symmetric(1.0, 8);
         assert_eq!(p.quantize_value(100.0), 127);
         assert_eq!(p.quantize_value(-100.0), -127);
+    }
+
+    #[test]
+    fn out_of_range_values_saturate_to_the_nearest_end() {
+        // Affine with zero point 128 (the case whose unsaturated add
+        // wrapped to qmin) and symmetric, at and far past i32 range.
+        let affine = QuantParams {
+            scale: 2.0 / 255.0,
+            zero_point: 128,
+            bits: 8,
+            symmetric: false,
+        };
+        for p in [affine, QuantParams::symmetric(1.0, 8)] {
+            for v in [1e9f32, 1e30, f32::MAX, f32::INFINITY] {
+                assert_eq!(p.quantize_value(v), p.qmax(), "{v} on {p:?}");
+                assert_eq!(p.quantize_value(-v), p.qmin(), "{} on {p:?}", -v);
+            }
+            assert_eq!(p.quantize_value(f32::NAN), p.zero_point, "NaN on {p:?}");
+            // In range, the saturating add is the plain add.
+            for i in -300..=300 {
+                let v = i as f32 * 0.0071;
+                let q = ((v / p.scale).round() as i64 + p.zero_point as i64)
+                    .clamp(p.qmin() as i64, p.qmax() as i64);
+                assert_eq!(p.quantize_value(v) as i64, q, "{v} on {p:?}");
+            }
+        }
     }
 
     #[test]
