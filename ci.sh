@@ -35,6 +35,7 @@ echo "== kernel-parity suites under forced scalar tier (YOLOC_KERNEL=scalar)"
 YOLOC_KERNEL=scalar cargo test -q -p yoloc-cim
 YOLOC_KERNEL=scalar YOLOC_SMOKE=1 cargo test -q --test arena_parity
 YOLOC_KERNEL=scalar cargo test -q --test staging_golden
+YOLOC_KERNEL=scalar YOLOC_SMOKE=1 cargo test -q --test scheduler_parity
 
 echo "== kernel-parity suites under forced AVX2 tier (YOLOC_KERNEL=avx2)"
 # On hosts without AVX2 the dispatch downgrades to scalar with a note
@@ -42,6 +43,7 @@ echo "== kernel-parity suites under forced AVX2 tier (YOLOC_KERNEL=avx2)"
 YOLOC_KERNEL=avx2 cargo test -q -p yoloc-cim
 YOLOC_KERNEL=avx2 YOLOC_SMOKE=1 cargo test -q --test arena_parity
 YOLOC_KERNEL=avx2 cargo test -q --test staging_golden
+YOLOC_KERNEL=avx2 YOLOC_SMOKE=1 cargo test -q --test scheduler_parity
 
 echo "== kernel-parity suites under forced AVX-512 tier (YOLOC_KERNEL=avx512)"
 # Hosts without the required subsets (F+BW+VL+VPOPCNTDQ) downgrade to
@@ -49,6 +51,7 @@ echo "== kernel-parity suites under forced AVX-512 tier (YOLOC_KERNEL=avx512)"
 YOLOC_KERNEL=avx512 cargo test -q -p yoloc-cim
 YOLOC_KERNEL=avx512 YOLOC_SMOKE=1 cargo test -q --test arena_parity
 YOLOC_KERNEL=avx512 cargo test -q --test staging_golden
+YOLOC_KERNEL=avx512 YOLOC_SMOKE=1 cargo test -q --test scheduler_parity
 
 echo "== remainder-lane kernel parity suite (both layouts, all tiers)"
 cargo test -q --test kernel_remainder

@@ -187,9 +187,11 @@ fn min_time(times: &[f64]) -> f64 {
 
 /// One timed staging sample: `calls` layout-matched passes that stage
 /// a synthetic patch-major `(patch, positions)` lowered code matrix into
-/// the kernel's batch layout — the exact loops `qconv::run_tile` runs to
-/// feed the kernel (its activations were quantized once, before the
-/// im2col, so staging only moves codes) — returning seconds per pass.
+/// the kernel's batch layout — the loops `qconv`'s `run_batch` runs to
+/// feed the kernel a scheduler tile or a row-major op (its activations
+/// were quantized once, before the im2col, so staging only moves codes;
+/// a whole-op transposed batch reads the lowered matrix in place and
+/// copies nothing) — returning seconds per pass.
 fn sample_staging(
     cols: &[i32],
     patch: usize,
@@ -311,7 +313,7 @@ fn measure_shape(
 
     // Staging split: time the layout-matched pass that feeds this
     // shape's batches (synthetic lowered codes, same batch size, same
-    // loops as `qconv::run_tile`).
+    // loops as `qconv`'s `run_batch` runs for a tile).
     engine.set_kernel(selected);
     let layout = engine.batch_layout(n);
     let cols: Vec<i32> = (0..ins * n).map(|_| rng.gen_range(0..=255)).collect();

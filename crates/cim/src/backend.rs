@@ -61,7 +61,7 @@ impl<R: RngCore + ?Sized> RngCore for DynRng<'_, R> {
     }
 }
 
-/// Reusable staging buffers for [`MvmBackend::mvm_batch`].
+/// Reusable staging buffers for [`MvmBackend::mvm_batch_tiled`].
 ///
 /// The batched kernel packs activation pulse bit-planes once per block
 /// and tracks per-vector event counters; both live here so a steady-state
@@ -90,8 +90,9 @@ pub struct MvmScratch {
     /// row-major batch entry when the layout crossover picks the
     /// transposed kernels.
     pub(crate) acts_t: Vec<i32>,
-    /// Row-major activation staging for the reverse unpack (a
-    /// transposed caller landing on a path that wants row-major acts).
+    /// Row-major activation staging for the reverse unpack (a panel
+    /// landing on a path that wants row-major acts: the noisy analog walk
+    /// and the software reference).
     pub(crate) acts_rm: Vec<i32>,
 }
 
@@ -99,6 +100,105 @@ impl MvmScratch {
     /// A fresh, empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Splits `0..len` into (at most) `parts` contiguous near-equal ranges in
+/// order; empty when `len == 0`.
+pub fn split_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
+    split_range_iter(len, parts).collect()
+}
+
+/// Lazy form of [`split_ranges`]: the identical ranges in the identical
+/// order, without allocating the vector. This is the one position
+/// partition of the stack: the tiles a conv fans across workers and the
+/// stats-fold ranges of [`MvmBackend::mvm_batch_tiled`].
+pub fn split_range_iter(len: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
+    let parts = if len == 0 { 0 } else { parts.clamp(1, len) };
+    let base = len.checked_div(parts).unwrap_or(0);
+    let rem = len.checked_rem(parts).unwrap_or(0);
+    let mut lo = 0;
+    (0..parts).map(move |i| {
+        let hi = lo + base + usize::from(i < rem);
+        let range = (lo, hi);
+        lo = hi;
+        range
+    })
+}
+
+/// Folds the statistics of `n_vectors` vectors (`vector(v)`, called once
+/// per vector in vector order) into `stats` as
+/// [`MvmBackend::mvm_batch_tiled`] specifies: with one tile every vector
+/// merges straight into `stats`; otherwise each range of
+/// [`split_range_iter`]`(n_vectors, tiles)` folds from zero and its total
+/// merges into `stats` in range order.
+pub(crate) fn fold_tiles(
+    stats: &mut MvmStats,
+    n_vectors: usize,
+    tiles: usize,
+    mut vector: impl FnMut(usize) -> MvmStats,
+) {
+    if tiles <= 1 {
+        (0..n_vectors).for_each(|v| stats.merge(&vector(v)));
+        return;
+    }
+    for (lo, hi) in split_range_iter(n_vectors, tiles) {
+        let mut tile = MvmStats::default();
+        (lo..hi).for_each(|v| tile.merge(&vector(v)));
+        stats.merge(&tile);
+    }
+}
+
+/// The activation codes of one batch call, tagged with their layout.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchActs<'a> {
+    /// Vector-major: the vectors back to back, each `ins` codes long.
+    RowMajor(&'a [i32]),
+    /// The lane-major `[ins x n_pad]` panel: code `i` of vector `v` at
+    /// `acts_t[i * n_pad + v]`. `n_pad` is at least the vector count and
+    /// a multiple of 16; padding lanes are never read back and may hold
+    /// any in-range code.
+    Transposed {
+        /// The panel.
+        acts_t: &'a [i32],
+        /// Lane stride of the panel rows.
+        n_pad: usize,
+    },
+}
+
+impl<'a> BatchActs<'a> {
+    /// Asserts the codes hold `n_vectors` vectors of `ins` codes.
+    fn check(&self, ins: usize, n_vectors: usize) {
+        match *self {
+            BatchActs::RowMajor(acts) => {
+                assert_eq!(acts.len(), n_vectors * ins, "batch activation length");
+            }
+            BatchActs::Transposed { acts_t, n_pad } => {
+                assert!(
+                    n_pad >= n_vectors && n_pad.is_multiple_of(16),
+                    "panel padding"
+                );
+                assert!(acts_t.len() >= ins * n_pad, "panel activation length");
+            }
+        }
+    }
+
+    /// The codes vector-major: borrowed as they are, or unpacked from the
+    /// panel into `buf`.
+    fn row_major<'b>(self, ins: usize, n_vectors: usize, buf: &'b mut Vec<i32>) -> &'b [i32]
+    where
+        'a: 'b,
+    {
+        match self {
+            BatchActs::RowMajor(acts) => acts,
+            BatchActs::Transposed { acts_t, n_pad } => {
+                buf.clear();
+                buf.extend(
+                    (0..n_vectors).flat_map(|v| (0..ins).map(move |i| acts_t[i * n_pad + v])),
+                );
+                buf
+            }
+        }
     }
 }
 
@@ -114,19 +214,54 @@ pub trait MvmBackend: Send + Sync {
     /// accumulator results and execution statistics.
     fn mvm(&self, acts: &[i32], rng: &mut dyn RngCore) -> (Vec<i64>, MvmStats);
 
-    /// Batched entry: executes `n_vectors` consecutive activation vectors
-    /// (packed back to back in `acts`, each `ins` long) through the
-    /// programmed engine, writing the `n_vectors * outs` accumulators into
-    /// `out` in vector order and merging the per-vector statistics into
-    /// `stats` **in vector order, folded from zero per vector** — exactly
-    /// the reduction a per-vector [`MvmBackend::mvm`] loop performs, so
-    /// the two are bit-identical in values *and* stats (property-tested).
+    /// The batch entry every other batch call goes through: executes
+    /// `n_vectors` activation vectors (in either [`BatchActs`] layout)
+    /// through the programmed engine and writes the `n_vectors * outs`
+    /// accumulators into `out` in vector order.
+    ///
+    /// Statistics fold **tile by tile**: with `tiles <= 1` each vector's
+    /// stats merge straight into `stats` in vector order, exactly the
+    /// reduction a per-vector [`MvmBackend::mvm`] loop performs; with more
+    /// tiles, the vectors of each range of
+    /// [`split_range_iter`]`(n_vectors, tiles)` fold from zero and the
+    /// range totals merge into `stats` in range order. Values are exact
+    /// integers in every layout and noisy paths draw their randomness per
+    /// vector in vector order, so one call reproduces `tiles` consecutive
+    /// single-tile calls over the ranges, merged in order, bit for bit —
+    /// values, `MvmStats` and RNG position (`tests/kernel_remainder.rs`).
+    /// That is what lets a conv run all its positions as one call and
+    /// still fold exactly like the tile scheduler.
     ///
     /// This is the steady-state hot path of the arena executor: `out` and
     /// `scratch` are caller-owned and reused across calls, so a warmed-up
-    /// inference allocates nothing here. Backends with a batched kernel
-    /// (the popcount fast path) override it to traverse their programmed
-    /// weight tables **once per block** instead of once per vector.
+    /// inference allocates nothing here. Backends with batched kernels
+    /// (the popcount fast path) traverse their programmed weight tables
+    /// **once per block** instead of once per vector, and consume the
+    /// transposed panel directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the codes do not hold `n_vectors` vectors of `ins`
+    /// (a row-major length other than `n_vectors * ins`; a panel with
+    /// `n_pad < n_vectors`, `n_pad` not a multiple of 16 or fewer than
+    /// `ins * n_pad` codes), or if `out.len() != n_vectors * outs`.
+    #[allow(clippy::too_many_arguments)]
+    fn mvm_batch_tiled(
+        &self,
+        acts: BatchActs<'_>,
+        n_vectors: usize,
+        tiles: usize,
+        out: &mut [i64],
+        stats: &mut MvmStats,
+        scratch: &mut MvmScratch,
+        rng: &mut dyn RngCore,
+    );
+
+    /// [`MvmBackend::mvm_batch_tiled`] on `n_vectors` vector-major codes
+    /// (each `ins` long, back to back) as one tile: values in vector
+    /// order, per-vector stats merged into `stats` in vector order —
+    /// bit-identical to a per-vector [`MvmBackend::mvm`] loop
+    /// (property-tested).
     ///
     /// # Panics
     ///
@@ -138,36 +273,27 @@ pub trait MvmBackend: Send + Sync {
         n_vectors: usize,
         out: &mut [i64],
         stats: &mut MvmStats,
-        _scratch: &mut MvmScratch,
+        scratch: &mut MvmScratch,
         rng: &mut dyn RngCore,
     ) {
-        let (outs, ins) = self.dims();
-        assert_eq!(acts.len(), n_vectors * ins, "batch activation length");
-        assert_eq!(out.len(), n_vectors * outs, "batch output length");
-        for v in 0..n_vectors {
-            let (y, s) = self.mvm(&acts[v * ins..(v + 1) * ins], rng);
-            out[v * outs..(v + 1) * outs].copy_from_slice(&y);
-            stats.merge(&s);
-        }
+        let acts = BatchActs::RowMajor(acts);
+        self.mvm_batch_tiled(acts, n_vectors, 1, out, stats, scratch, rng);
     }
 
     /// The activation layout this backend prefers for a block of
     /// `n_vectors` — [`MatmulLayout::Transposed`] asks the caller to
     /// stage the lane-major `[ins x n_pad]` panel
-    /// (`n_pad = transposed_pad(n_vectors)`, padding lanes zero) and
-    /// call [`MvmBackend::mvm_batch_transposed`], writing quantized
-    /// codes straight into the panel with no repack pass. Backends
-    /// without transposed kernels keep the row-major default.
+    /// (`n_pad = transposed_pad(n_vectors)` or any wider multiple of 16)
+    /// and pass it as [`BatchActs::Transposed`], writing codes straight
+    /// into the panel with no repack pass. Backends without transposed
+    /// kernels keep the row-major default.
     fn batch_layout(&self, _n_vectors: usize) -> MatmulLayout {
         MatmulLayout::RowMajor
     }
 
-    /// Batched entry over a lane-major `[ins x n_pad]` activation panel
-    /// (`acts_t[i * n_pad + v]`): bit-identical to
-    /// [`MvmBackend::mvm_batch`] on the same values, in values *and*
-    /// stats. The default unpacks the panel and delegates; backends
-    /// with transposed kernels (the popcount fast path) override it to
-    /// consume the panel directly.
+    /// [`MvmBackend::mvm_batch`] over a lane-major `[ins x n_pad]`
+    /// activation panel (`acts_t[i * n_pad + v]`): bit-identical to it on
+    /// the same values, in values *and* stats.
     ///
     /// # Examples
     ///
@@ -224,23 +350,8 @@ pub trait MvmBackend: Send + Sync {
         scratch: &mut MvmScratch,
         rng: &mut dyn RngCore,
     ) {
-        let (outs, ins) = self.dims();
-        assert!(
-            n_pad >= n_vectors && n_pad.is_multiple_of(16),
-            "panel padding"
-        );
-        assert!(acts_t.len() >= ins * n_pad, "panel activation length");
-        assert_eq!(out.len(), n_vectors * outs, "batch output length");
-        let mut acts = std::mem::take(&mut scratch.acts_rm);
-        acts.clear();
-        acts.resize(n_vectors * ins, 0);
-        for v in 0..n_vectors {
-            for i in 0..ins {
-                acts[v * ins + i] = acts_t[i * n_pad + v];
-            }
-        }
-        self.mvm_batch(&acts, n_vectors, out, stats, scratch, rng);
-        scratch.acts_rm = acts;
+        let acts = BatchActs::Transposed { acts_t, n_pad };
+        self.mvm_batch_tiled(acts, n_vectors, 1, out, stats, scratch, rng);
     }
 
     /// Tile-granular entry: the allocating thin wrapper over
@@ -248,11 +359,10 @@ pub trait MvmBackend: Send + Sync {
     /// accumulators in vector order and the statistics folded **in vector
     /// order** from a zeroed accumulator.
     ///
-    /// This is the unit of work the tile-parallel scheduler fans across
-    /// workers: a tile's result (values *and* stats fold) is a pure
-    /// function of its activation slice, never of which worker ran it, so
-    /// tiled execution reassembles bit-identically to a serial walk that
-    /// uses the same tile decomposition.
+    /// A tile's result (values *and* stats fold) is a pure function of
+    /// its activation slice, never of which worker ran it, so tiled
+    /// execution reassembles bit-identically to a serial walk that uses
+    /// the same tile decomposition.
     ///
     /// # Panics
     ///
@@ -290,84 +400,53 @@ impl MvmBackend for RomMvm {
         RomMvm::mvm(self, acts, rng)
     }
 
-    fn mvm_batch(
+    fn mvm_batch_tiled(
         &self,
-        acts: &[i32],
+        acts: BatchActs<'_>,
         n_vectors: usize,
+        tiles: usize,
         out: &mut [i64],
         stats: &mut MvmStats,
         scratch: &mut MvmScratch,
         rng: &mut dyn RngCore,
     ) {
         let (outs, ins) = RomMvm::dims(self);
-        assert_eq!(acts.len(), n_vectors * ins, "batch activation length");
+        acts.check(ins, n_vectors);
         assert_eq!(out.len(), n_vectors * outs, "batch output length");
-        if self.fast_path_active() {
-            // The RNG is untouched, like every noiseless path. At
-            // identity-ADC design points (the paper default) the batch
-            // reduces to an exact integer matmul; otherwise one traversal
-            // of the popcount tables serves the whole block.
-            if self.adc_is_identity() {
-                self.mvm_batch_exact(acts, n_vectors, out, stats, scratch);
-            } else {
-                self.mvm_batch_fast(acts, n_vectors, out, stats, scratch);
-            }
-        } else {
-            for v in 0..n_vectors {
-                let (y, s) = self.mvm_analog(&acts[v * ins..(v + 1) * ins], rng);
+        if !self.fast_path_active() {
+            // The noisy reference path is inherently per-vector (each
+            // vector consumes its own RNG draws, in vector order).
+            let mut buf = std::mem::take(&mut scratch.acts_rm);
+            let rows = acts.row_major(ins, n_vectors, &mut buf);
+            fold_tiles(stats, n_vectors, tiles, |v| {
+                let (y, s) = self.mvm_analog(&rows[v * ins..(v + 1) * ins], rng);
                 out[v * outs..(v + 1) * outs].copy_from_slice(&y);
-                stats.merge(&s);
+                s
+            });
+            scratch.acts_rm = buf;
+            return;
+        }
+        // The RNG is untouched, like every noiseless path. At
+        // identity-ADC design points (the paper default) the batch
+        // reduces to an exact integer matmul; otherwise one traversal of
+        // the popcount tables serves the whole block. Panels feed the
+        // panel-native kernels directly. Each kernel leaves per-vector
+        // event counters in `scratch.counters`.
+        match (acts, self.adc_is_identity()) {
+            (BatchActs::RowMajor(a), true) => self.mvm_batch_exact(a, n_vectors, out, scratch),
+            (BatchActs::RowMajor(a), false) => self.mvm_batch_fast(a, n_vectors, out, scratch),
+            (BatchActs::Transposed { acts_t, n_pad }, true) => {
+                self.mvm_batch_exact_t(acts_t, n_vectors, n_pad, out, scratch);
+            }
+            (BatchActs::Transposed { acts_t, n_pad }, false) => {
+                self.mvm_batch_fast_t(acts_t, n_vectors, n_pad, out, scratch);
             }
         }
+        self.merge_counter_stats(&scratch.counters, tiles, stats);
     }
 
     fn batch_layout(&self, n_vectors: usize) -> MatmulLayout {
         self.batch_layout_for(n_vectors)
-    }
-
-    fn mvm_batch_transposed(
-        &self,
-        acts_t: &[i32],
-        n_vectors: usize,
-        n_pad: usize,
-        out: &mut [i64],
-        stats: &mut MvmStats,
-        scratch: &mut MvmScratch,
-        rng: &mut dyn RngCore,
-    ) {
-        let (outs, ins) = RomMvm::dims(self);
-        assert!(
-            n_pad >= n_vectors && n_pad.is_multiple_of(16),
-            "panel padding"
-        );
-        assert!(acts_t.len() >= ins * n_pad, "panel activation length");
-        assert_eq!(out.len(), n_vectors * outs, "batch output length");
-        if self.fast_path_active() {
-            // Panel-native kernels: matmul, counter fold and pulse
-            // packing all read the lane-major panel directly.
-            if self.adc_is_identity() {
-                self.mvm_batch_exact_t(acts_t, n_vectors, n_pad, out, stats, scratch);
-            } else {
-                self.mvm_batch_fast_t(acts_t, n_vectors, n_pad, out, stats, scratch);
-            }
-        } else {
-            // The noisy reference path is inherently per-vector (each
-            // vector consumes its own RNG draws): unpack and fall back.
-            let mut acts = std::mem::take(&mut scratch.acts_rm);
-            acts.clear();
-            acts.resize(n_vectors * ins, 0);
-            for v in 0..n_vectors {
-                for i in 0..ins {
-                    acts[v * ins + i] = acts_t[i * n_pad + v];
-                }
-            }
-            for v in 0..n_vectors {
-                let (y, s) = self.mvm_analog(&acts[v * ins..(v + 1) * ins], rng);
-                out[v * outs..(v + 1) * outs].copy_from_slice(&y);
-                stats.merge(&s);
-            }
-            scratch.acts_rm = acts;
-        }
     }
 
     fn dims(&self) -> (usize, usize) {
@@ -429,20 +508,25 @@ impl MvmBackend for SoftwareMvm {
         )
     }
 
-    fn mvm_batch(
+    fn mvm_batch_tiled(
         &self,
-        acts: &[i32],
+        acts: BatchActs<'_>,
         n_vectors: usize,
+        _tiles: usize,
         out: &mut [i64],
         _stats: &mut MvmStats,
-        _scratch: &mut MvmScratch,
+        scratch: &mut MvmScratch,
         _rng: &mut dyn RngCore,
     ) {
         // Allocation-free digital reference: the shared integer matmul
-        // into the caller's accumulator; no analog events, no randomness.
-        assert_eq!(acts.len(), n_vectors * self.ins, "batch activation length");
+        // into the caller's accumulator; no analog events (so nothing to
+        // fold, in any tiling), no randomness.
+        acts.check(self.ins, n_vectors);
         assert_eq!(out.len(), n_vectors * self.outs, "batch output length");
-        matmul_into(&self.codes, self.outs, self.ins, acts, n_vectors, out);
+        let mut buf = std::mem::take(&mut scratch.acts_rm);
+        let rows = acts.row_major(self.ins, n_vectors, &mut buf);
+        matmul_into(&self.codes, self.outs, self.ins, rows, n_vectors, out);
+        scratch.acts_rm = buf;
     }
 
     fn dims(&self) -> (usize, usize) {

@@ -42,7 +42,8 @@ pub mod technology;
 
 pub use analog::{AdcModel, AnalogArray, AnalogConfig};
 pub use backend::{
-    program_backend, program_backend_faulted, BackendKind, DynRng, MvmBackend, SoftwareMvm,
+    program_backend, program_backend_faulted, BackendKind, BatchActs, DynRng, MvmBackend,
+    SoftwareMvm,
 };
 pub use cells::{CellKind, RomCell};
 pub use faults::{AdcFault, FabricGeometry, FaultContext, FaultPlan, FaultSpec, StuckKind};

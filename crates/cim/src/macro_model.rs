@@ -878,16 +878,16 @@ impl RomMvm {
     /// core equivalence claim, property-tested in both directions), so
     /// the accumulators come from an integer matmul over the stored
     /// weight codes — dispatched through the selected kernel tier
-    /// ([`RomMvm::kernel`]) — while the event counters come from the
-    /// shared [`kernels::fold_event_counters`]. Bit-identical to a
-    /// per-vector [`RomMvm::mvm_fast`] loop in values *and* statistics
-    /// on every tier.
+    /// ([`RomMvm::kernel`]) — while the per-vector event counters come
+    /// from the shared [`kernels::fold_event_counters`] and are left in
+    /// `scratch.counters` for [`RomMvm::merge_counter_stats`]. With that
+    /// fold, bit-identical to a per-vector [`RomMvm::mvm_fast`] loop in
+    /// values *and* statistics on every tier.
     pub(crate) fn mvm_batch_exact(
         &self,
         acts: &[i32],
         n: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut crate::backend::MvmScratch,
     ) {
         self.validate_act_codes(acts);
@@ -964,7 +964,6 @@ impl RomMvm {
                 );
             }
         }
-        self.merge_counter_stats(&scratch.counters, stats);
     }
 
     /// The stored codes in every packing the matmul tiers understand.
@@ -1017,7 +1016,6 @@ impl RomMvm {
         n: usize,
         n_pad: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut crate::backend::MvmScratch,
     ) {
         self.validate_act_codes(acts_t);
@@ -1042,15 +1040,22 @@ impl RomMvm {
             &self.fold_params(),
             &mut scratch.counters,
         );
-        self.merge_counter_stats(&scratch.counters, stats);
     }
 
-    /// Derives per-vector statistics from raw event counters (through
-    /// [`RomMvm::finish_stats`]) and merges them **in vector order** —
-    /// the exact fold a per-vector `mvm` loop performs.
-    fn merge_counter_stats(&self, counters: &[[u64; 3]], stats: &mut MvmStats) {
+    /// Derives per-vector statistics from the raw event counters a batch
+    /// kernel left behind (through [`RomMvm::finish_stats`]) and folds
+    /// them into `stats` **in vector order**, tile by tile as
+    /// [`crate::backend::MvmBackend::mvm_batch_tiled`] specifies — with
+    /// one tile, the exact fold a per-vector `mvm` loop performs.
+    pub(crate) fn merge_counter_stats(
+        &self,
+        counters: &[[u64; 3]],
+        tiles: usize,
+        stats: &mut MvmStats,
+    ) {
         let finisher = &self.finisher;
-        for c in counters {
+        crate::backend::fold_tiles(stats, counters.len(), tiles, |v| {
+            let c = counters[v];
             let mut s = MvmStats {
                 analog_evaluations: c[0],
                 adc_conversions: c[1],
@@ -1058,8 +1063,8 @@ impl RomMvm {
                 ..MvmStats::default()
             };
             finisher.finish(&mut s);
-            stats.merge(&s);
-        }
+            s
+        });
     }
 
     /// Executes a block of `n` activation vectors on the popcount fast
@@ -1071,9 +1076,8 @@ impl RomMvm {
     /// [`RomMvm::mvm_fast`] loop in values *and* statistics: the integer
     /// accumulation is exact under any traversal order, the same ADC
     /// transfer is applied per group evaluation, and the per-vector event
-    /// counters are folded through [`RomMvm::finish_stats`] and merged in
-    /// vector order, exactly as [`crate::backend::MvmBackend::mvm_tile`]
-    /// folds a per-vector walk.
+    /// counters it leaves in `scratch.counters` are folded through
+    /// [`RomMvm::finish_stats`] by [`RomMvm::merge_counter_stats`].
     ///
     /// At the paper design point the ADC resolves single discharge events
     /// (`full_scale <= levels`), making the transfer an identity on
@@ -1094,7 +1098,6 @@ impl RomMvm {
         acts: &[i32],
         n: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut crate::backend::MvmScratch,
     ) {
         self.validate_act_codes(acts);
@@ -1181,9 +1184,6 @@ impl RomMvm {
                 );
             }
         }
-        let counters = std::mem::take(&mut scratch.counters);
-        self.merge_counter_stats(&counters, stats);
-        scratch.counters = counters;
     }
 
     /// Streams one row tile's lane-packed nonzero weight masks against
@@ -1257,7 +1257,6 @@ impl RomMvm {
         n: usize,
         n_pad_t: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut crate::backend::MvmScratch,
     ) {
         self.validate_act_codes(acts_t);
@@ -1339,9 +1338,6 @@ impl RomMvm {
                 );
             }
         }
-        let counters = std::mem::take(&mut scratch.counters);
-        self.merge_counter_stats(&counters, stats);
-        scratch.counters = counters;
     }
 
     /// Executes `y = W x` through the cell-accurate analog reference path:
@@ -1715,10 +1711,11 @@ mod tests {
                 let mut out = vec![0i64; n * outs];
                 let mut stats = MvmStats::default();
                 if engine.adc_is_identity() {
-                    engine.mvm_batch_exact(&acts, n, &mut out, &mut stats, &mut scratch);
+                    engine.mvm_batch_exact(&acts, n, &mut out, &mut scratch);
                 } else {
-                    engine.mvm_batch_fast(&acts, n, &mut out, &mut stats, &mut scratch);
+                    engine.mvm_batch_fast(&acts, n, &mut out, &mut scratch);
                 }
+                engine.merge_counter_stats(&scratch.counters, 1, &mut stats);
                 prop_assert_eq!(&out, &golden, "values diverge on {}", kind.label());
                 prop_assert_eq!(&stats, &golden_stats, "stats diverge on {}", kind.label());
             }

@@ -16,7 +16,8 @@
 use rand::Rng;
 
 use yoloc_cim::backend::{
-    program_backend, program_backend_faulted, BackendKind, DynRng, MvmBackend, MvmScratch,
+    program_backend, program_backend_faulted, BackendKind, BatchActs, DynRng, MvmBackend,
+    MvmScratch,
 };
 use yoloc_cim::faults::{FaultContext, FaultPlan, FaultSpec};
 use yoloc_cim::kernels::{transposed_pad, MatmulLayout};
@@ -28,14 +29,19 @@ use yoloc_tensor::Tensor;
 use serde::json::Value as Json;
 use serde::{Deserialize, Serialize};
 
+pub use yoloc_cim::backend::{split_range_iter, split_ranges};
+
 /// Reusable staging for one CiM layer execution: the conv input
 /// quantized once into a code map, that map lowered into the
-/// code-domain im2col patch matrix, the activation codes of the tile in
-/// flight (in the backend's batch layout), the integer MVM accumulators,
-/// and the backend's bit-plane staging.
+/// code-domain im2col patch matrix (rows at the batch panel's lane
+/// stride), the activation codes of a batch that cannot read that
+/// matrix in place, the integer MVM accumulators, and the backend's
+/// bit-plane staging.
 ///
 /// Staging never touches a float patch matrix: each input value is
-/// quantized exactly once, and the tile staging only copies codes.
+/// quantized exactly once. A whole-op batch in the transposed layout
+/// reads the lowered matrix as its panel with no copy at all; row-major
+/// batches and scheduler tiles copy codes out of it.
 ///
 /// One `CimScratch` serves every layer of a deployment in turn (layers
 /// run serially, and each call fully overwrites what it uses), which is
@@ -46,14 +52,15 @@ use serde::{Deserialize, Serialize};
 pub struct CimScratch {
     /// Quantized `(n, C, H, W)` input codes (convs only).
     act: Vec<i32>,
-    /// Lowered `(patch, positions)` code matrix (convs only).
+    /// Lowered `(patch, positions)` code matrix, rows at stride
+    /// `transposed_pad(positions)` (convs only).
     cols: Vec<i32>,
-    /// Activation codes of the tile in flight: the transposed panel or
-    /// the vector-major block.
+    /// Activation codes copied for the batch in flight: a tile's
+    /// transposed panel or a vector-major block.
     codes: Vec<i32>,
-    /// Integer accumulators of the tile in flight, vector-major.
+    /// Integer accumulators of the batch in flight, vector-major.
     accs: Vec<i64>,
-    /// Bit-plane staging for [`MvmBackend::mvm_batch`].
+    /// Bit-plane staging for [`MvmBackend::mvm_batch_tiled`].
     mvm: MvmScratch,
 }
 
@@ -215,7 +222,7 @@ pub struct CimConv2d {
     geom: Conv2dGeometry,
     out_channels: usize,
     /// Target tile count for [`CimConv2d::tile_ranges`] (1 = the whole
-    /// position range as a single tile, the legacy serial walk).
+    /// position range as a single tile).
     par_tiles: usize,
     /// Compile-time programming record, kept for plan serialization.
     program: ProgramSpec,
@@ -322,17 +329,12 @@ impl CimConv2d {
         self.par_tiles = tiles.max(1);
     }
 
-    /// The contiguous position ranges `forward` folds over: `positions`
-    /// output pixels split into (at most) the hinted tile count of
-    /// near-equal chunks, in position order.
+    /// The contiguous position ranges `forward` folds its statistics
+    /// over and the scheduler fans across workers: `positions` output
+    /// pixels split into (at most) the hinted tile count of near-equal
+    /// chunks, in position order.
     pub fn tile_ranges(&self, positions: usize) -> Vec<(usize, usize)> {
         split_ranges(positions, self.par_tiles)
-    }
-
-    /// Allocation-free form of [`CimConv2d::tile_ranges`]: the same
-    /// ranges as a lazy iterator (the arena executor's hot path).
-    pub fn tile_range_iter(&self, positions: usize) -> impl Iterator<Item = (usize, usize)> {
-        split_range_iter(positions, self.par_tiles)
     }
 
     /// Number of tiles [`CimConv2d::tile_ranges`] decomposes `positions`
@@ -375,9 +377,10 @@ impl CimConv2d {
     }
 
     /// Lowers `x` (`(N, C, H, W)`) to its quantized im2col matrix: the
-    /// row-major `(C*k*k, N*OH*OW)` activation codes every tile of this
-    /// layer reads, padding taps holding the zero point's code. Exposed
-    /// so the scheduler can lower once and fan
+    /// `(C*k*k, N*OH*OW)` activation codes every tile of this layer
+    /// reads, row `r` starting at `r * transposed_pad(N*OH*OW)`; padding
+    /// taps and the lanes past each row's end hold the zero point's
+    /// code. Exposed so the scheduler can lower once and fan
     /// [`CimConv2d::forward_tile_with`] calls over the result.
     ///
     /// # Panics
@@ -398,6 +401,11 @@ impl CimConv2d {
     /// before the gather equals quantizing every gathered element, and a
     /// padding tap holds `quantize_value(0.0)` — exactly what a zero-
     /// padded float patch quantizes to.
+    ///
+    /// Rows sit at the stride `transposed_pad(positions)`, so the matrix
+    /// already is the `[patch x n_pad]` panel of a whole-op transposed
+    /// batch; its tail lanes hold the pad code, which the panel kernels
+    /// accept like any padding lane.
     fn lower_into(
         &self,
         x: &[f32],
@@ -410,7 +418,19 @@ impl CimConv2d {
         let q = &self.act_params;
         act.clear();
         act.extend(x.iter().map(|&v| q.quantize_value(v)));
-        im2col_into(act, n, h, w, &self.geom, q.quantize_value(0.0), cols).1
+        let (oh, ow) = self.geom.output_hw(h, w);
+        let stride = transposed_pad(n * oh * ow);
+        im2col_into(
+            act,
+            n,
+            h,
+            w,
+            &self.geom,
+            q.quantize_value(0.0),
+            stride,
+            cols,
+        )
+        .1
     }
 
     /// Output spatial dims for an `(H, W)` input.
@@ -424,16 +444,18 @@ impl CimConv2d {
     }
 
     /// Runs output positions `lo..hi` of the lowered code matrix
-    /// (`cols`, from [`CimConv2d::lower`]) through the backend's
-    /// tile-granular entry, returning the dequantized values in
-    /// `[position][channel]` order plus the tile's statistics (folded from
-    /// zero, in position order). The panel, accumulators and bit-plane
-    /// planes live in `scratch` and are reused across calls, so only the
-    /// returned value vector is allocated.
+    /// (`cols`, from [`CimConv2d::lower`]) through the backend as one
+    /// tile, returning the dequantized values in `[position][channel]`
+    /// order plus the tile's statistics (folded from zero, in position
+    /// order). The panel, accumulators and bit-plane planes live in
+    /// `scratch` and are reused across calls, so only the returned value
+    /// vector is allocated.
     ///
     /// This is the parallel unit of the tile scheduler (which draws
-    /// `scratch` from the deployment's arena pool); assembling tiles in
-    /// range order reproduces [`CimConv2d::forward`] bit for bit.
+    /// `scratch` from the deployment's arena pool); scattering tiles in
+    /// range order with [`CimConv2d::scatter_tile`] and merging their
+    /// statistics in the same order reproduces [`CimConv2d::forward`] bit
+    /// for bit.
     pub fn forward_tile_with<R: Rng + ?Sized>(
         &self,
         cols: &[i32],
@@ -442,88 +464,95 @@ impl CimConv2d {
         scratch: &mut CimScratch,
         rng: &mut R,
     ) -> (Vec<f32>, MvmStats) {
-        let positions = cols.len() / self.geom.patch_len();
-        let mut stats = MvmStats::default();
-        self.run_tile(cols, positions, lo, hi, &mut stats, scratch, rng);
-        let mut vals = Vec::with_capacity((hi - lo) * self.out_channels);
-        for acc in scratch.accs[..(hi - lo) * self.out_channels].chunks_exact(self.out_channels) {
-            for (o, &a) in acc.iter().enumerate() {
-                vals.push(self.dequant.value(o, a, &self.act_params));
-            }
-        }
+        let stats = self.run_batch(cols, lo, hi, 1, scratch, rng);
+        let oc = self.out_channels;
+        let vals = scratch.accs[..(hi - lo) * oc]
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| self.dequant.value(i % oc, a, &self.act_params))
+            .collect();
         (vals, stats)
     }
 
-    /// Stages positions `lo..hi` of a patch-major `(patch, positions)`
-    /// code matrix into `scratch.codes` and batches them through the
-    /// backend into `scratch.accs`, merging the tile's statistics (folded
-    /// from zero in vector order) into `stats`.
+    /// Batches positions `lo..hi` of a patch-major code matrix (rows at
+    /// stride `cols.len() / patch`, as [`CimConv2d::lower_into`] writes
+    /// it) through the backend into `scratch.accs` with **one** call,
+    /// returning the statistics folded over `tiles` ranges of the batch
+    /// (see [`MvmBackend::mvm_batch_tiled`]).
     ///
-    /// The staging layout follows the backend's
-    /// [`MvmBackend::batch_layout`] choice. The transposed panel is the
-    /// natural fit for the patch-major matrix: each activation row `r`
-    /// copies the *contiguous* lane `cols[r*positions + lo..hi]` into its
-    /// panel lane, with no strided gather (which is what the vector-major
-    /// staging below pays per position).
-    #[allow(clippy::too_many_arguments)] // one tile's full dataflow, all borrowed
-    fn run_tile<R: Rng + ?Sized>(
+    /// The staging follows the backend's [`MvmBackend::batch_layout`]
+    /// choice. When the batch starts at position 0 and its panel stride
+    /// equals the matrix's row stride — every whole-op batch — the
+    /// matrix is passed as the panel as it is: no copy, no zero fill.
+    /// A transposed tile copies each row's *contiguous* lane
+    /// `cols[r * stride + lo..hi]` into its panel, and the vector-major
+    /// staging gathers one code per row for each position.
+    fn run_batch<R: Rng + ?Sized>(
         &self,
         cols: &[i32],
-        positions: usize,
         lo: usize,
         hi: usize,
-        stats: &mut MvmStats,
+        tiles: usize,
         scratch: &mut CimScratch,
         rng: &mut R,
-    ) {
+    ) -> MvmStats {
         let patch = self.geom.patch_len();
+        let stride = cols.len() / patch;
         let count = hi - lo;
         scratch.accs.clear();
         scratch.accs.resize(count * self.out_channels, 0);
-        match self.engine.batch_layout(count) {
+        let acts = match self.engine.batch_layout(count) {
+            MatmulLayout::Transposed if lo == 0 && transposed_pad(count) == stride => {
+                BatchActs::Transposed {
+                    acts_t: cols,
+                    n_pad: stride,
+                }
+            }
             MatmulLayout::Transposed => {
                 let n_pad = transposed_pad(count);
                 scratch.codes.clear();
                 scratch.codes.resize(patch * n_pad, 0);
                 for r in 0..patch {
                     scratch.codes[r * n_pad..r * n_pad + count]
-                        .copy_from_slice(&cols[r * positions + lo..r * positions + hi]);
+                        .copy_from_slice(&cols[r * stride + lo..r * stride + hi]);
                 }
-                self.engine.mvm_batch_transposed(
-                    &scratch.codes,
-                    count,
+                BatchActs::Transposed {
+                    acts_t: &scratch.codes,
                     n_pad,
-                    &mut scratch.accs,
-                    stats,
-                    &mut scratch.mvm,
-                    &mut DynRng(rng),
-                );
+                }
             }
             MatmulLayout::RowMajor => {
                 scratch.codes.clear();
                 for pos in lo..hi {
                     scratch
                         .codes
-                        .extend((0..patch).map(|r| cols[r * positions + pos]));
+                        .extend((0..patch).map(|r| cols[r * stride + pos]));
                 }
-                self.engine.mvm_batch(
-                    &scratch.codes,
-                    count,
-                    &mut scratch.accs,
-                    stats,
-                    &mut scratch.mvm,
-                    &mut DynRng(rng),
-                );
+                BatchActs::RowMajor(&scratch.codes)
             }
-        }
+        };
+        let mut stats = MvmStats::default();
+        self.engine.mvm_batch_tiled(
+            acts,
+            count,
+            tiles,
+            &mut scratch.accs,
+            &mut stats,
+            &mut scratch.mvm,
+            &mut DynRng(rng),
+        );
+        stats
     }
 
     /// Arena forward: runs the convolution on a raw row-major
     /// `(n, C, h, w)` buffer, writing the dequantized `(n, OC, OH, OW)`
     /// feature map into `out` using only `scratch` storage — the
-    /// allocation-free counterpart of [`CimConv2d::forward`], with the
-    /// identical tile decomposition and per-tile statistics fold, so the
-    /// returned stats (and every output bit) match it exactly.
+    /// allocation-free counterpart of [`CimConv2d::forward`].
+    ///
+    /// All output positions go through the backend as **one** batch
+    /// call whose statistics fold over [`CimConv2d::tile_ranges`], so
+    /// the returned stats (and every output bit) match the tile
+    /// scheduler's per-tile walk exactly.
     ///
     /// # Panics
     ///
@@ -540,46 +569,34 @@ impl CimConv2d {
         rng: &mut R,
     ) -> MvmStats {
         let (oh, ow) = self.geom.output_hw(h, w);
-        assert_eq!(out.len(), n * self.out_channels * oh * ow, "output length");
+        let oc = self.out_channels;
+        assert_eq!(out.len(), n * oc * oh * ow, "output length");
         let mut cols = std::mem::take(&mut scratch.cols);
         let positions = self.lower_into(x, n, h, w, &mut scratch.act, &mut cols);
-        let mut stats = MvmStats::default();
-        for (lo, hi) in self.tile_range_iter(positions) {
-            let mut tile_stats = MvmStats::default();
-            self.run_tile(&cols, positions, lo, hi, &mut tile_stats, scratch, rng);
-            stats.merge(&tile_stats);
-            // Dequantize and scatter, position-major, exactly as
-            // `scatter_tile` lays tiles into the output map.
-            for (v, acc) in scratch.accs[..(hi - lo) * self.out_channels]
-                .chunks_exact(self.out_channels)
-                .enumerate()
-            {
-                let pos = lo + v;
-                let ni = pos / (oh * ow);
-                let p = pos % (oh * ow);
-                for (o, &a) in acc.iter().enumerate() {
-                    out[((ni * self.out_channels + o) * oh + p / ow) * ow + p % ow] =
-                        self.dequant.value(o, a, &self.act_params);
-                }
-            }
-        }
+        let stats = self.run_batch(&cols, 0, positions, self.par_tiles, scratch, rng);
         scratch.cols = cols;
+        let accs = &scratch.accs;
+        scatter_blocked(out, oc, oh * ow, 0, positions, |v, o| {
+            self.dequant.value(o, accs[v * oc + o], &self.act_params)
+        });
         stats
     }
 
     /// Scatters one tile's `[position][channel]` values (from
     /// [`CimConv2d::forward_tile_with`] at range start `lo`) into the `(N, OC,
     /// OH, OW)` output map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `(N, OC, OH, OW)` with this layer's `OC`
+    /// or the tile runs past its end.
     pub fn scatter_tile(&self, out: &mut Tensor, lo: usize, vals: &[f32]) {
-        let (oh, ow) = (out.shape()[2], out.shape()[3]);
-        for (v, chunk) in vals.chunks_exact(self.out_channels).enumerate() {
-            let pos = lo + v;
-            let ni = pos / (oh * ow);
-            let p = pos % (oh * ow);
-            for (o, &val) in chunk.iter().enumerate() {
-                *out.at_mut(&[ni, o, p / ow, p % ow]) = val;
-            }
-        }
+        let oc = self.out_channels;
+        assert!(out.ndim() == 4 && out.shape()[1] == oc, "output map shape");
+        let hw = out.shape()[2] * out.shape()[3];
+        scatter_blocked(out.data_mut(), oc, hw, lo, vals.len() / oc, |v, o| {
+            vals[v * oc + o]
+        });
     }
 
     /// Runs the convolution on `x` (`(N, C, H, W)`), returning the output
@@ -610,25 +627,41 @@ impl CimConv2d {
     }
 }
 
-/// Splits `0..len` into (at most) `parts` contiguous near-equal ranges in
-/// order; empty when `len == 0`.
-pub fn split_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
-    split_range_iter(len, parts).collect()
-}
+/// Output positions per block of [`scatter_blocked`]: a block's
+/// position-major values (at most `64 x outs` of them) stay in L1 while
+/// each channel's run is written.
+const SCATTER_BLOCK: usize = 64;
 
-/// Lazy form of [`split_ranges`]: the identical ranges in the identical
-/// order, without allocating the vector.
-pub fn split_range_iter(len: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
-    let parts = if len == 0 { 0 } else { parts.clamp(1, len) };
-    let base = len.checked_div(parts).unwrap_or(0);
-    let rem = len.checked_rem(parts).unwrap_or(0);
-    let mut lo = 0;
-    (0..parts).map(move |i| {
-        let hi = lo + base + usize::from(i < rem);
-        let range = (lo, hi);
-        lo = hi;
-        range
-    })
+/// Writes `count` position-major values — `value(v, o)` is channel `o`
+/// of position `lo + v` — into the channel-major `(n, outs, hw)` map
+/// `out`.
+///
+/// A position-by-position walk writes `out` at a stride of `hw` floats,
+/// so every channel's store for one position lands in the same L1 sets
+/// once a plane spans a few KiB. This walks blocks of up to
+/// [`SCATTER_BLOCK`] positions within one sample instead and writes each
+/// channel's block as one contiguous run of its plane. Every element is
+/// written exactly once with the value it would get in any order.
+fn scatter_blocked(
+    out: &mut [f32],
+    outs: usize,
+    hw: usize,
+    lo: usize,
+    count: usize,
+    value: impl Fn(usize, usize) -> f32,
+) {
+    let mut v0 = 0;
+    while v0 < count {
+        let (ni, p) = ((lo + v0) / hw, (lo + v0) % hw);
+        let len = SCATTER_BLOCK.min(count - v0).min(hw - p);
+        for o in 0..outs {
+            let base = (ni * outs + o) * hw + p;
+            for (i, d) in out[base..base + len].iter_mut().enumerate() {
+                *d = value(v0 + i, o);
+            }
+        }
+        v0 += len;
+    }
 }
 
 /// A fully-connected layer compiled onto an MVM backend (the prediction
@@ -1112,29 +1145,36 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
-    /// Runs `conv` on `x` through `forward_in` and through the
-    /// scheduler's `lower` + `forward_tile_with` path at tile hints 1, 2
-    /// and 7, asserting both match the float-staging reference bit for
-    /// bit (and each other in stats); returns the layouts tiles staged in.
-    fn assert_staging_matches_reference(
+    /// Runs `conv` on `x` through the whole-op `forward_in` and through
+    /// the scheduler's `lower` + `forward_tile_with` + `scatter_tile`
+    /// path at tile hints 1, 2 and 7, every run from the same seed,
+    /// asserting the paths agree bit for bit in values and stats and
+    /// that every hint gives the same values (noise is drawn per
+    /// position, in position order): `want` when given (the
+    /// float-staging reference), else hint 1's. Returns the layouts the
+    /// whole op and the tiles staged in.
+    fn assert_staging_paths_agree(
         conv: &mut CimConv2d,
         x: &Tensor,
+        want: Option<Vec<u32>>,
         case: &str,
     ) -> Vec<MatmulLayout> {
-        let mut rng = StdRng::seed_from_u64(0);
-        let want = bits(&reference_forward(conv, x));
         let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = conv.output_hw(h, w);
         let outs = conv.out_channels;
-        let mut layouts = Vec::new();
+        let mut want = want;
+        let mut layouts = vec![conv.engine.batch_layout(n * oh * ow)];
+        let mut scratch = CimScratch::new();
         for tiles in [1, 2, 7] {
             conv.set_tile_hint(tiles);
             let mut y = vec![0f32; n * outs * oh * ow];
-            let mut scratch = CimScratch::new();
+            let mut rng = StdRng::seed_from_u64(0);
             let stats = conv.forward_in(x.data(), n, h, w, &mut y, &mut scratch, &mut rng);
-            assert_eq!(bits(&y), want, "forward_in {case} t{tiles}");
+            let want = want.get_or_insert_with(|| bits(&y));
+            assert_eq!(&bits(&y), want, "forward_in {case} t{tiles}");
             // The scheduler's path: lower once, then run, scatter and
             // fold each tile in order.
+            let mut rng = StdRng::seed_from_u64(0);
             let cols = conv.lower(x);
             let mut tiled = Tensor::zeros(&[n, outs, oh, ow]);
             let mut tiled_stats = MvmStats::default();
@@ -1144,10 +1184,21 @@ mod tests {
                 conv.scatter_tile(&mut tiled, lo, &vals);
                 tiled_stats.merge(&s);
             }
-            assert_eq!(bits(tiled.data()), want, "tiled {case} t{tiles}");
+            assert_eq!(&bits(tiled.data()), want, "tiled {case} t{tiles}");
             assert_eq!(tiled_stats, stats, "stats {case} t{tiles}");
         }
         layouts
+    }
+
+    /// [`assert_staging_paths_agree`] against the float-staging
+    /// reference.
+    fn assert_staging_matches_reference(
+        conv: &mut CimConv2d,
+        x: &Tensor,
+        case: &str,
+    ) -> Vec<MatmulLayout> {
+        let want = bits(&reference_forward(conv, x));
+        assert_staging_paths_agree(conv, x, Some(want), case)
     }
 
     #[test]
@@ -1188,6 +1239,25 @@ mod tests {
         assert!(layouts.contains(&MatmulLayout::RowMajor));
         if KernelDispatch::from_env().resolve() != yoloc_cim::KernelKind::Scalar {
             assert!(layouts.contains(&MatmulLayout::Transposed));
+        }
+    }
+
+    #[test]
+    fn noisy_staging_agrees_between_the_whole_op_and_the_tiles() {
+        // A noisy macro runs the per-vector analog walk, drawing its
+        // noise vector by vector: the one whole-op call and the
+        // scheduler's tiles must draw the same stream from the same seed
+        // and fold the same stats.
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut params = MacroParams::rom_paper();
+        params.noise_sigma = 0.3;
+        for (k, stride, padding) in [(3, 1, 1), (1, 2, 0)] {
+            let w = Tensor::randn(&[6, 3, k, k], 0.0, 0.3, &mut rng);
+            let x = Tensor::rand_uniform(&[2, 3, 7, 7], -1.0, 1.0, &mut rng);
+            let mut conv = CimConv2d::compile(&w, stride, padding, &[&x], params);
+            assert_eq!(conv.backend_name(), "analog-reference");
+            let case = format!("noisy k{k} s{stride} p{padding}");
+            assert_staging_paths_agree(&mut conv, &x, None, &case);
         }
     }
 }

@@ -60,8 +60,9 @@ pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Tensor {
     assert_eq!(x.ndim(), 4, "im2col expects (N, C, H, W)");
     let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
     assert_eq!(x.shape()[1], geom.in_channels, "channel mismatch");
+    let (oh, ow) = geom.output_hw(h, w);
     let mut out = Vec::new();
-    let (rows, cols) = im2col_into(x.data(), n, h, w, geom, 0.0, &mut out);
+    let (rows, cols) = im2col_into(x.data(), n, h, w, geom, 0.0, n * oh * ow, &mut out);
     Tensor::from_vec(out, &[rows, cols]).expect("im2col shape is consistent")
 }
 
@@ -69,13 +70,18 @@ pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Tensor {
 /// row-major `(N, C, H, W)` buffer into `out` (resized in place, so a
 /// warmed buffer is never reallocated), reads out-of-bounds taps as
 /// `pad`, and returns the `(rows, cols)` dimensions of the patch matrix.
-/// [`im2col`] is the allocating `f32` wrapper with `pad = 0.0`; the CiM
+///
+/// Row `r` starts at `out[r * row_stride]`; the `row_stride - cols`
+/// lanes past each row's end also hold `pad`. [`im2col`] is the
+/// allocating `f32` wrapper with `pad = 0.0` and dense rows; the CiM
 /// path lowers quantized activation codes with the zero point's code as
-/// `pad`.
+/// `pad`, at the padded lane stride its batch panel uses.
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != n * in_channels * h * w`.
+/// Panics if `x.len() != n * in_channels * h * w` or
+/// `row_stride < n * OH * OW`.
+#[allow(clippy::too_many_arguments)] // raw-buffer entry: data + dims + layout
 pub fn im2col_into<T: Copy>(
     x: &[T],
     n: usize,
@@ -83,6 +89,7 @@ pub fn im2col_into<T: Copy>(
     w: usize,
     geom: &Conv2dGeometry,
     pad: T,
+    row_stride: usize,
     out: &mut Vec<T>,
 ) -> (usize, usize) {
     let c = geom.in_channels;
@@ -90,11 +97,12 @@ pub fn im2col_into<T: Copy>(
     let (oh, ow) = geom.output_hw(h, w);
     let (k, s, p) = (geom.kernel, geom.stride, geom.padding);
     let cols = n * oh * ow;
+    assert!(row_stride >= cols, "row stride shorter than a row");
     let rows = geom.patch_len();
     // Padded taps are never written below; clear-then-resize fills every
     // element with `pad` while keeping the allocation.
     out.clear();
-    out.resize(rows * cols, pad);
+    out.resize(rows * row_stride, pad);
     for ni in 0..n {
         for ci in 0..c {
             let x_base = (ni * c + ci) * h * w;
@@ -108,7 +116,7 @@ pub fn im2col_into<T: Copy>(
                         continue;
                     }
                     let row = (ci * k + kh) * k + kw;
-                    let out_base = row * cols + ni * oh * ow;
+                    let out_base = row * row_stride + ni * oh * ow;
                     for ohi in oh_lo..oh_hi {
                         let x_row = x_base + (ohi * s + kh - p) * w;
                         let dst =
@@ -414,7 +422,8 @@ mod tests {
     #[test]
     fn im2col_into_matches_a_bounds_checked_gather_with_any_pad() {
         // Every tap either copies its in-bounds input or reads `pad` —
-        // including inputs narrower than the kernel's reach.
+        // including inputs narrower than the kernel's reach — at a dense
+        // and at a padded row stride, whose tail lanes read `pad` too.
         for (k, stride, padding, hw) in [
             (1, 1, 0, 4),
             (3, 1, 1, 5),
@@ -437,27 +446,33 @@ mod tests {
                 padding,
             };
             let x: Vec<i32> = (0..(n * c * hw * hw) as i32).collect();
-            let mut out = vec![0; 3];
-            let (rows, cols) = im2col_into(&x, n, hw, hw, &g, -1, &mut out);
             let (oh, ow) = g.output_hw(hw, hw);
-            assert_eq!((rows, cols), (c * k * k, n * oh * ow));
-            for r in 0..rows {
-                let (ci, kh, kw) = (r / (k * k), r / k % k, r % k);
-                for col in 0..cols {
-                    let (ni, p) = (col / (oh * ow), col % (oh * ow));
-                    let ih = (p / ow * stride + kh) as isize - padding as isize;
-                    let iw = (p % ow * stride + kw) as isize - padding as isize;
-                    let inside = (0..hw as isize).contains(&ih) && (0..hw as isize).contains(&iw);
-                    let want = if inside {
-                        x[((ni * c + ci) * hw + ih as usize) * hw + iw as usize]
-                    } else {
-                        -1
-                    };
-                    assert_eq!(
-                        out[r * cols + col],
-                        want,
-                        "k{k} s{stride} p{padding} r{r} c{col}"
-                    );
+            for extra in [0, 5] {
+                let row_stride = n * oh * ow + extra;
+                let mut out = vec![7; 3];
+                let (rows, cols) = im2col_into(&x, n, hw, hw, &g, -1, row_stride, &mut out);
+                assert_eq!((rows, cols), (c * k * k, n * oh * ow));
+                assert_eq!(out.len(), rows * row_stride);
+                for r in 0..rows {
+                    let (ci, kh, kw) = (r / (k * k), r / k % k, r % k);
+                    for col in 0..row_stride {
+                        let (ni, p) = (col / (oh * ow), col % (oh * ow));
+                        let ih = (p / ow * stride + kh) as isize - padding as isize;
+                        let iw = (p % ow * stride + kw) as isize - padding as isize;
+                        let inside = col < cols
+                            && (0..hw as isize).contains(&ih)
+                            && (0..hw as isize).contains(&iw);
+                        let want = if inside {
+                            x[((ni * c + ci) * hw + ih as usize) * hw + iw as usize]
+                        } else {
+                            -1
+                        };
+                        assert_eq!(
+                            out[r * row_stride + col],
+                            want,
+                            "k{k} s{stride} p{padding} +{extra} r{r} c{col}"
+                        );
+                    }
                 }
             }
         }

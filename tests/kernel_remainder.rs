@@ -11,12 +11,20 @@
 //! the pulse mask-stream path, and the noisy variant checks the
 //! per-vector analog fallback consumes its RNG stream identically
 //! through the transposed entry.
+//!
+//! Every case also pins the tile-structured stats fold of
+//! `mvm_batch_tiled`: one call over `tiles` ranges (1, 2, 3 and 7,
+//! including more tiles than vectors) must equal one single-tile call
+//! per range merged in order — values, `MvmStats` and the RNG's next
+//! draw — in both layouts, on every tier and on the software backend.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
-use yoloc::cim::backend::{program_backend, BackendKind, MvmScratch};
+use yoloc::cim::backend::{
+    program_backend, split_ranges, BackendKind, BatchActs, MvmBackend, MvmScratch,
+};
 use yoloc::cim::kernels::{available_kinds, transposed_pad, KernelKind};
 use yoloc::cim::{MacroParams, MvmStats};
 
@@ -45,6 +53,75 @@ fn to_panel(acts: &[i32], n: usize, ins: usize) -> (Vec<i32>, usize) {
         }
     }
     (acts_t, n_pad)
+}
+
+/// The tile counts the fold checks sweep; 7 exceeds the smallest batches.
+const TILES: [usize; 4] = [1, 2, 3, 7];
+
+/// Runs `acts` (vector-major; `transposed` stages them as panels)
+/// through `b` from `seed`, returning the accumulators, the stats and
+/// the RNG's next draw: as one `mvm_batch_tiled` call over `tiles`
+/// ranges, or (`per_range`) as one single-tile call per range, merged
+/// in range order.
+fn run_tiled(
+    b: &dyn MvmBackend,
+    acts: &[i32],
+    n: usize,
+    tiles: usize,
+    transposed: bool,
+    per_range: bool,
+    seed: u64,
+) -> (Vec<i64>, MvmStats, u64) {
+    let (outs, ins) = b.dims();
+    let mut out = vec![0i64; n * outs];
+    let mut stats = MvmStats::default();
+    let mut scratch = MvmScratch::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ranges = if per_range {
+        split_ranges(n, tiles)
+    } else {
+        vec![(0, n)]
+    };
+    for (lo, hi) in ranges {
+        let block = &acts[lo * ins..hi * ins];
+        let (acts_t, n_pad) = to_panel(block, hi - lo, ins);
+        let staged = if transposed {
+            BatchActs::Transposed {
+                acts_t: &acts_t,
+                n_pad,
+            }
+        } else {
+            BatchActs::RowMajor(block)
+        };
+        let mut tile_stats = MvmStats::default();
+        b.mvm_batch_tiled(
+            staged,
+            hi - lo,
+            if per_range { 1 } else { tiles },
+            &mut out[lo * outs..hi * outs],
+            &mut tile_stats,
+            &mut scratch,
+            &mut rng,
+        );
+        stats.merge(&tile_stats);
+    }
+    (out, stats, rng.next_u64())
+}
+
+/// Asserts one tiled call equals its per-range calls merged in order,
+/// for every tile count in [`TILES`] and both layouts.
+fn assert_tiled_fold(b: &dyn MvmBackend, acts: &[i32], n: usize, seed: u64, what: &str) {
+    let (outs, ins) = b.dims();
+    for tiles in TILES {
+        for transposed in [false, true] {
+            let whole = run_tiled(b, acts, n, tiles, transposed, false, seed);
+            let split = run_tiled(b, acts, n, tiles, transposed, true, seed);
+            assert_eq!(
+                whole, split,
+                "{what} tiles={tiles} transposed={transposed} at {outs}x{ins} n={n}"
+            );
+        }
+    }
 }
 
 /// Runs one backend at `(outs, ins, n)` under every available kernel
@@ -113,6 +190,7 @@ fn assert_remainder_parity(params: MacroParams, outs: usize, ins: usize, n: usiz
             "{} transposed stats diverge at {outs}x{ins} n={n}",
             kind.label()
         );
+        assert_tiled_fold(b.as_ref(), &acts, n, seed, kind.label());
     }
 }
 
@@ -156,6 +234,26 @@ fn remainder_shapes_hold_parity_on_the_noisy_fallback() {
     for &(outs, ins) in &[(2, 9), (3, 31), (17, 1)] {
         for n in [1, 4, 16, 33] {
             assert_remainder_parity(params, outs, ins, n, 0x0157 + n as u64);
+        }
+    }
+}
+
+#[test]
+fn software_backend_holds_the_tiled_fold() {
+    // The digital reference reports no analog events, so every tiling
+    // folds to zero stats; values and the untouched RNG must still match.
+    for &(outs, ins) in &[(1, 9), (3, 17), (17, 31)] {
+        for n in [1, 2, 5, 16, 33] {
+            let seed = 0x50F7 + n as u64;
+            let codes = seeded_matrix(outs, ins, seed);
+            let b = program_backend(
+                BackendKind::Software,
+                MacroParams::rom_paper(),
+                &codes,
+                outs,
+                ins,
+            );
+            assert_tiled_fold(b.as_ref(), &seeded_acts(n, ins, seed), n, seed, "software");
         }
     }
 }
