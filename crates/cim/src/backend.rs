@@ -128,8 +128,7 @@ pub fn split_range_iter(len: usize, parts: usize) -> impl Iterator<Item = (usize
 
 /// Folds the statistics of `n_vectors` vectors (`vector(v)`, called once
 /// per vector in vector order) into `stats` as
-/// [`MvmBackend::mvm_batch_tiled`] specifies: with one tile every vector
-/// merges straight into `stats`; otherwise each range of
+/// [`MvmBackend::mvm_batch_tiled`] specifies: each range of
 /// [`split_range_iter`]`(n_vectors, tiles)` folds from zero and its total
 /// merges into `stats` in range order.
 pub(crate) fn fold_tiles(
@@ -138,10 +137,6 @@ pub(crate) fn fold_tiles(
     tiles: usize,
     mut vector: impl FnMut(usize) -> MvmStats,
 ) {
-    if tiles <= 1 {
-        (0..n_vectors).for_each(|v| stats.merge(&vector(v)));
-        return;
-    }
     for (lo, hi) in split_range_iter(n_vectors, tiles) {
         let mut tile = MvmStats::default();
         (lo..hi).for_each(|v| tile.merge(&vector(v)));
@@ -219,12 +214,12 @@ pub trait MvmBackend: Send + Sync {
     /// through the programmed engine and writes the `n_vectors * outs`
     /// accumulators into `out` in vector order.
     ///
-    /// Statistics fold **tile by tile**: with `tiles <= 1` each vector's
-    /// stats merge straight into `stats` in vector order, exactly the
-    /// reduction a per-vector [`MvmBackend::mvm`] loop performs; with more
-    /// tiles, the vectors of each range of
-    /// [`split_range_iter`]`(n_vectors, tiles)` fold from zero and the
-    /// range totals merge into `stats` in range order. Values are exact
+    /// Statistics fold **tile by tile**: the vectors of each range of
+    /// [`split_range_iter`]`(n_vectors, tiles)` fold from zero in vector
+    /// order and each range's total merges into `stats` in range order
+    /// (`tiles = 0` counts as one). With one tile and a fresh `stats` that
+    /// is exactly the reduction a per-vector [`MvmBackend::mvm`] loop
+    /// performs. Values are exact
     /// integers in every layout and noisy paths draw their randomness per
     /// vector in vector order, so one call reproduces `tiles` consecutive
     /// single-tile calls over the ranges, merged in order, bit for bit —
@@ -259,9 +254,9 @@ pub trait MvmBackend: Send + Sync {
 
     /// [`MvmBackend::mvm_batch_tiled`] on `n_vectors` vector-major codes
     /// (each `ins` long, back to back) as one tile: values in vector
-    /// order, per-vector stats merged into `stats` in vector order —
-    /// bit-identical to a per-vector [`MvmBackend::mvm`] loop
-    /// (property-tested).
+    /// order, per-vector stats folded from zero in vector order and their
+    /// total merged into `stats` — into a fresh `stats`, bit-identical to
+    /// a per-vector [`MvmBackend::mvm`] loop (property-tested).
     ///
     /// # Panics
     ///

@@ -1046,7 +1046,8 @@ impl RomMvm {
     /// kernel left behind (through [`RomMvm::finish_stats`]) and folds
     /// them into `stats` **in vector order**, tile by tile as
     /// [`crate::backend::MvmBackend::mvm_batch_tiled`] specifies — with
-    /// one tile, the exact fold a per-vector `mvm` loop performs.
+    /// one tile and a fresh `stats`, the exact fold a per-vector `mvm`
+    /// loop performs.
     pub(crate) fn merge_counter_stats(
         &self,
         counters: &[[u64; 3]],

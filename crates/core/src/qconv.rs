@@ -627,9 +627,11 @@ impl CimConv2d {
     }
 }
 
-/// Output positions per block of [`scatter_blocked`]: a block's
-/// position-major values (at most `64 x outs` of them) stay in L1 while
-/// each channel's run is written.
+/// Output positions per block of [`scatter_blocked`]. A block turns each
+/// channel's stores into one contiguous run of up to 64 floats instead of
+/// stores `hw` floats apart, which map to the same L1 sets. It is not
+/// sized to keep the block's `64 x outs` accumulators in L1: on the
+/// 1024-channel layers they span 512 KiB.
 const SCATTER_BLOCK: usize = 64;
 
 /// Writes `count` position-major values — `value(v, o)` is channel `o`
